@@ -62,14 +62,6 @@ pub trait DropLoopMethod {
     /// Cost of the solution built for the currently-active coalition.
     /// Called once, after the fixpoint round.
     fn served_cost(&mut self) -> f64;
-
-    /// Overwrite `shares` — on entry the fixpoint round's shares — with
-    /// the shares actually charged to the surviving coalition. The
-    /// default keeps the fixpoint shares (exact for methods whose
-    /// `round_shares_into` is already the canonical computation);
-    /// methods whose per-round shares come from a faster equivalent
-    /// computation override this with one exact final evaluation.
-    fn final_shares_into(&mut self, _shares: &mut Vec<f64>) {}
 }
 
 /// Run the Moulin–Shenker iteration `M(ξ)` \[37, 38\] over a
@@ -143,7 +135,6 @@ pub fn run_drop_loop_from(
         }
         if !dropped_any {
             let receivers: Vec<usize> = initial.iter().copied().filter(|&p| active[p]).collect();
-            method.final_shares_into(&mut shares);
             let mut final_shares = vec![0.0; n];
             for &p in &receivers {
                 final_shares[p] = shares[p];
@@ -289,32 +280,5 @@ mod tests {
         let out = run_drop_loop_from(&mut m, &[10.0, 10.0], &[]);
         assert!(out.receivers.is_empty());
         assert_eq!(out.served_cost, 0.0);
-    }
-
-    #[test]
-    fn final_shares_hook_receives_the_fixpoint_shares() {
-        struct Probe {
-            saw: Option<Vec<f64>>,
-        }
-        impl DropLoopMethod for Probe {
-            fn n_players(&self) -> usize {
-                2
-            }
-            fn round_shares_into(&mut self, out: &mut Vec<f64>) {
-                out.clear();
-                out.extend([1.0, 2.0]);
-            }
-            fn drop_player(&mut self, _p: usize) {}
-            fn served_cost(&mut self) -> f64 {
-                3.0
-            }
-            fn final_shares_into(&mut self, shares: &mut Vec<f64>) {
-                self.saw = Some(shares.clone());
-            }
-        }
-        let mut m = Probe { saw: None };
-        let out = run_drop_loop(&mut m, &[10.0, 10.0]);
-        assert_eq!(m.saw, Some(vec![1.0, 2.0]));
-        assert_eq!(out.shares, vec![1.0, 2.0]);
     }
 }

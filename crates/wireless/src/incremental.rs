@@ -31,6 +31,7 @@
 //! | [`IncrementalShapley::drop_receiver`] | `O(depth)` | state equals a fresh build on the shrunken set |
 //! | [`IncrementalShapley::add_receiver`] | `O(depth + sibling scans)` | state equals a fresh build on the enlarged set |
 //! | [`IncrementalShapley::round_shares_by_station`] | `O(\|T(R)\|)` | the paper's §2.1 split on the current set |
+//! | [`IncrementalShapley::served_cost`] | `O(\|T(R)\| log \|T(R)\|)` | bitwise equal to `multicast_cost` on the current set |
 //! | [`NetWorthOracle::set_utility`] | `O(Σ deg over the dirty path prefix)` | every stored float equals a fresh DP's |
 //! | [`NetWorthOracle::net_worth_zeroing`] | `O(depth)` | agrees with a full DP on the zeroed profile |
 //!
@@ -45,12 +46,16 @@
 //! [`wmcs_game::run_drop_loop_from`], used by [`shapley_drop_run_from`]
 //! and the sessions) — the same iteration the mask-based
 //! [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so the two
-//! cannot diverge on EPS conventions. [`reference_drop_run`] preserves
-//! the naive per-round recomputation as the correctness reference; the
-//! property suite pins the incremental outcome to it byte for byte.
+//! cannot diverge on EPS conventions. The driver charges the fixpoint
+//! round's shares: the top-down pass adds, per receiver, the same
+//! slices in the same order as [`UniversalTree::shapley_shares`], so no
+//! final reference evaluation is needed. [`reference_drop_run`]
+//! preserves the naive per-round recomputation as the correctness
+//! reference; the property suite pins the incremental outcome to it
+//! byte for byte.
 
 use crate::substrate::{NodeId, NO_STATION};
-use crate::universal::UniversalTree;
+use crate::universal::{served_cost_of, UniversalTree};
 use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome};
 
 /// Local alias for the dense-array sentinel shared with the substrate.
@@ -291,6 +296,30 @@ impl IncrementalShapley {
         (0..self.in_r.len()).filter(|&v| self.in_r[v]).collect()
     }
 
+    /// `C_T(R)` of the current receiver set, walked over `T(R)` alone:
+    /// every station with an active child transmits at the cost of its
+    /// **last** active child (the lists are in ascending cost order), and
+    /// the powers are summed in ascending station id — bitwise equal to
+    /// `ut.multicast_cost(&self.active_stations())`.
+    pub fn served_cost(&self) -> f64 {
+        let sub = self.ut.substrate();
+        let mut powers = Vec::new();
+        let mut stack = vec![sub.network().source()];
+        while let Some(x) = stack.pop() {
+            let mut last = NodeId::NONE;
+            let mut y = self.first_child[x];
+            while !y.is_none() {
+                stack.push(y.index());
+                last = y;
+                y = self.next_sib[y.index()];
+            }
+            if !last.is_none() {
+                powers.push((x, sub.parent_cost(last.index())));
+            }
+        }
+        served_cost_of(powers)
+    }
+
     /// Is station `v` currently an active receiver?
     pub fn is_active(&self, v: usize) -> bool {
         self.in_r[v]
@@ -346,22 +375,7 @@ impl DropLoopMethod for PlayerAdapter<'_> {
     }
 
     fn served_cost(&mut self) -> f64 {
-        self.engine
-            .ut
-            .multicast_cost(&self.engine.active_stations())
-    }
-
-    fn final_shares_into(&mut self, shares: &mut Vec<f64>) {
-        // One exact evaluation of the reference share computation on the
-        // surviving set, so the charged shares are byte-identical to the
-        // naive driver's.
-        let net = self.engine.ut.network();
-        let by_station = self
-            .engine
-            .ut
-            .shapley_shares(&self.engine.active_stations());
-        shares.clear();
-        shares.extend((0..net.n_players()).map(|p| by_station[net.station_of_player(p)]));
+        self.engine.served_cost()
     }
 }
 
@@ -615,26 +629,39 @@ impl NetWorthOracle {
         self.h[self.ut.network().source()]
     }
 
-    /// The largest welfare-maximising station set and its net worth:
-    /// walk the chosen prefixes down from the source.
+    /// The largest welfare-maximising station set and its net worth.
     pub fn efficient_set(&self) -> (Vec<usize>, f64) {
+        let (set, nw, _) = self.efficient_set_with_cost();
+        (set, nw)
+    }
+
+    /// The largest welfare-maximising station set, its net worth and its
+    /// cost `C_T(set)`, from one walk of the chosen prefixes down from
+    /// the source. The set is path-closed, so a station's children in
+    /// `T(set)` are exactly its chosen prefix and it transmits at the
+    /// cost of the prefix's last child; the powers are summed in
+    /// ascending station id — bitwise equal to `ut.multicast_cost(&set)`.
+    pub fn efficient_set_with_cost(&self) -> (Vec<usize>, f64, f64) {
         let sub = self.ut.substrate();
         let s = sub.network().source();
         let mut reached = Vec::new();
+        let mut powers = Vec::new();
         let mut stack = vec![s];
         while let Some(v) = stack.pop() {
             if v != s {
                 reached.push(v);
             }
-            stack.extend(
-                sub.sorted_children(v)
-                    .iter()
-                    .take(self.choice[v] as usize)
-                    .map(|c| c.index()),
-            );
+            let mut last = None;
+            for &y in sub.sorted_children(v).iter().take(self.choice[v] as usize) {
+                stack.push(y.index());
+                last = Some(y);
+            }
+            if let Some(y) = last {
+                powers.push((v, sub.parent_cost(y.index())));
+            }
         }
         reached.sort_unstable();
-        (reached, self.net_worth())
+        (reached, self.net_worth(), served_cost_of(powers))
     }
 
     /// `NW(u_{−x})`: maximal net worth with station `x`'s utility set to

@@ -26,9 +26,13 @@
 //!   and adding `0.0` to a non-negative accumulator is a bitwise no-op —
 //!   the dense pass over all `n` stations and the sparse pass over the
 //!   frame run the *same* float operations;
-//! * the exact final-share pass and the served-cost evaluation call the
-//!   same [`UniversalTree::shapley_shares`] / `multicast_cost` reference
-//!   entry points the dense sessions call.
+//! * final outcomes come from the same folds as the dense engines: the
+//!   charged shares are the fixpoint round's (the round in which nobody
+//!   dropped), whose top-down fold adds the same slices in the same
+//!   order as the [`UniversalTree::shapley_shares`] reference, and the
+//!   served cost sums the same per-station powers in the same ascending
+//!   station order as the `multicast_cost` reference. Neither reference
+//!   runs on a reprice; both stay the oracle the tests check against.
 //!
 //! The contract is pinned by `tests/sparse_props.rs` across all five
 //! layout families × both mechanisms × churn traces, and gated at scale
@@ -41,7 +45,7 @@
 
 use crate::session::ChurnEvent;
 use crate::substrate::{Subframe, TreeSubstrate};
-use crate::universal::UniversalTree;
+use crate::universal::{served_cost_of, UniversalTree};
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::EPS;
 
@@ -252,8 +256,32 @@ impl SparseShapley {
         &self.shares
     }
 
+    /// `C_T(R)` of the current receiver set — the dense
+    /// [`crate::incremental::IncrementalShapley::served_cost`] walk over
+    /// the frame: each local station with an active child transmits at
+    /// the cost of its last active child, and the powers are summed in
+    /// ascending **global** station id, bitwise equal to
+    /// `ut.multicast_cost(&self.active_stations())`.
+    pub fn served_cost(&self) -> f64 {
+        let mut powers = Vec::new();
+        let mut stack = vec![Subframe::ROOT];
+        while let Some(x) = stack.pop() {
+            let mut last = NO_LOCAL;
+            let mut y = self.first_child[x as usize];
+            while y != NO_LOCAL {
+                stack.push(y);
+                last = y;
+                y = self.next_sib[y as usize];
+            }
+            if last != NO_LOCAL {
+                powers.push((self.frame.global_of(x), self.frame.parent_cost(last)));
+            }
+        }
+        served_cost_of(powers)
+    }
+
     /// The currently-active receiver stations (global ids), ascending —
-    /// what the exact final-share / served-cost reference calls consume.
+    /// what the `shapley_shares` / `multicast_cost` references consume.
     pub fn active_stations(&self) -> Vec<usize> {
         let mut out: Vec<usize> = (0..self.frame.len())
             .filter(|&l| self.in_r[l])
@@ -525,15 +553,25 @@ impl SparseNetWorth {
         self.h[Subframe::ROOT as usize]
     }
 
-    /// The largest welfare-maximising station set and its net worth —
-    /// the dense [`NetWorthOracle::efficient_set`](crate::incremental::NetWorthOracle::efficient_set) walk, with the chosen
-    /// prefix of an out-of-frame station reproduced on the fly (its
-    /// leading run of zero-cost children: every `val_j = −c_j`, and only
-    /// `c_j = 0` survives the exact `val ≥ 0.0` tie-break).
+    /// The largest welfare-maximising station set and its net worth.
     pub fn efficient_set(&self) -> (Vec<usize>, f64) {
+        let (set, nw, _) = self.efficient_set_with_cost();
+        (set, nw)
+    }
+
+    /// The largest welfare-maximising station set, its net worth and its
+    /// cost — the dense
+    /// [`NetWorthOracle::efficient_set_with_cost`](crate::incremental::NetWorthOracle::efficient_set_with_cost)
+    /// walk, with the chosen prefix of an out-of-frame station reproduced
+    /// on the fly (its leading run of zero-cost children: every
+    /// `val_j = −c_j`, and only `c_j = 0` survives the exact `val ≥ 0.0`
+    /// tie-break). Such a station transmits at cost `0.0`, an exact no-op
+    /// in the ascending-station sum.
+    pub fn efficient_set_with_cost(&self) -> (Vec<usize>, f64, f64) {
         let sub = self.ut.substrate();
         let s = sub.network().source();
         let mut reached = Vec::new();
+        let mut powers = Vec::new();
         let mut stack = vec![s];
         while let Some(x) = stack.pop() {
             if x != s {
@@ -547,10 +585,17 @@ impl SparseNetWorth {
                     .take_while(|&&y| sub.parent_cost(y.index()) == 0.0)
                     .count(),
             };
-            stack.extend(kids.iter().take(take).map(|c| c.index()));
+            let mut last = None;
+            for &y in kids.iter().take(take) {
+                stack.push(y.index());
+                last = Some(y);
+            }
+            if let Some(y) = last {
+                powers.push((x, sub.parent_cost(y.index())));
+            }
         }
         reached.sort_unstable();
-        (reached, self.net_worth())
+        (reached, self.net_worth(), served_cost_of(powers))
     }
 
     /// `NW(u_{−x})` in `O(depth of x)` — the dense
@@ -710,10 +755,11 @@ impl SparseShapleySession {
 
     /// Re-run the Moulin–Shenker drop loop from the current member set —
     /// the frame-local replica of `wmcs_game::run_drop_loop_from`: same
-    /// round structure, same ascending drop order, same EPS test, and
-    /// the same exact final-share / served-cost reference calls, so the
-    /// outcome is byte-identical to the dense session's. Evicted members
-    /// leave the session (they must `Join` again).
+    /// round structure, same ascending drop order, same EPS test, the
+    /// fixpoint round's shares charged and the served cost walked over
+    /// `T(R)`, so the outcome is byte-identical to the dense session's
+    /// at `O(rounds · |T(R)|)` plus the outcome's share vector. Evicted
+    /// members leave the session (they must `Join` again).
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
         let n = self.ut.network().n_players();
@@ -739,21 +785,17 @@ impl SparseShapleySession {
                 }
             }
             if !dropped_any {
-                // One exact evaluation of the reference share computation
-                // on the surviving set — the same call the dense adapter
-                // makes, so the charged floats cannot diverge.
-                let stations = self.engine.active_stations();
-                let by_station = self.ut.shapley_shares(&stations);
+                // Charge the fixpoint round's shares — the shares the
+                // dense driver charges, and the reference's fold.
                 let mut shares = vec![0.0; n];
                 let mut receivers = Vec::new();
-                for (i, m) in self.members.iter().enumerate() {
-                    if active[i] {
-                        let p = m.player as usize;
-                        receivers.push(p);
-                        shares[p] = by_station[self.ut.network().station_of_player(p)];
-                    }
+                let served = self.members.iter().zip(&self.scratch).zip(&active);
+                for ((m, &share), _) in served.filter(|&(_, &a)| a) {
+                    let p = m.player as usize;
+                    receivers.push(p);
+                    shares[p] = share;
                 }
-                let served_cost = self.ut.multicast_cost(&stations);
+                let served_cost = self.engine.served_cost();
                 break MechanismOutcome {
                     receivers,
                     shares,
@@ -891,12 +933,12 @@ impl SparseMcSession {
 
     /// Recompute the VCG outcome from the warm sparse oracle —
     /// byte-identical to [`vcg_outcome`](crate::session::vcg_outcome) over a dense [`NetWorthOracle`](crate::incremental::NetWorthOracle)
-    /// holding the same utilities (same selection walk, same `O(depth)`
-    /// externality queries, same served-cost reference call).
+    /// holding the same utilities (same selection-and-cost walk, same
+    /// `O(depth)` externality queries).
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
         let net = self.ut.network();
-        let (stations, nw) = self.oracle.efficient_set();
+        let (stations, nw, served_cost) = self.oracle.efficient_set_with_cost();
         let mut shares = vec![0.0; net.n_players()];
         let receivers: Vec<usize> = stations
             .iter()
@@ -907,7 +949,6 @@ impl SparseMcSession {
             let nw_minus = self.oracle.net_worth_zeroing(x);
             shares[p] = (self.oracle.utility(x) - (nw - nw_minus)).max(0.0);
         }
-        let served_cost = self.ut.multicast_cost(&stations);
         // The batch boundary is where warm state rests: return the
         // doubling-growth slack so the retained bytes are the exact
         // closure footprint (no-op unless the frame just grew).

@@ -12,7 +12,9 @@
 //! * [`UniversalTreeCost`] — the coalition cost function `C_T`;
 //! * [`UniversalTree::shapley_shares`] — the paper's *efficient* Shapley
 //!   computation (per-station power increments split equally among the
-//!   receivers using them, §2.1), validated against Eq. (4) in tests;
+//!   receivers using them, §2.1), validated against Eq. (4) in tests and
+//!   kept, with [`UniversalTree::multicast_cost`], as the universe-sized
+//!   reference the `O(|T(R)|)` warm engines are pinned to;
 //! * [`UniversalTree::largest_efficient_set`] — a linear-time bottom-up DP
 //!   for the welfare-maximising receiver set, powering the MC mechanism.
 
@@ -82,6 +84,13 @@ impl UniversalTree {
     }
 
     /// `C_T(R)` for a receiver station set.
+    ///
+    /// The universe-sized **reference** (an `n`-node `T(R)` plus an
+    /// `n`-length power vector): the independent oracle the tests, T1 and
+    /// [`crate::incremental::reference_drop_run`] check against. No warm
+    /// reprice calls it; the engines fold the same sum over `T(R)` alone
+    /// (`served_cost` on the Shapley engines, `efficient_set_with_cost` on
+    /// the net-worth oracles), bit for bit.
     pub fn multicast_cost(&self, receivers: &[usize]) -> f64 {
         self.power_assignment(receivers).total_cost()
     }
@@ -91,6 +100,11 @@ impl UniversalTree {
     /// power increment `c(x, y_i) − c(x, y_{i−1})` is split equally among
     /// the receivers of `R` whose next hop from `x` is one of `y_i … y_k`.
     /// Returns per-station shares (zero outside `R`).
+    ///
+    /// The universe-sized **reference**, kept for the tests, T1 (Eq. (4))
+    /// and [`crate::incremental::reference_drop_run`]. No warm reprice
+    /// calls it: the drop loop charges its fixpoint round, whose top-down
+    /// fold adds the same slices in the same order.
     pub fn shapley_shares(&self, receivers: &[usize]) -> Vec<f64> {
         let net = self.network();
         let n = net.n_stations();
@@ -179,6 +193,17 @@ impl UniversalTree {
     pub fn net_worth(&self, u: &[f64]) -> f64 {
         self.largest_efficient_set(u).1
     }
+}
+
+/// `Σ_x π(x)` over the `(station, power)` pairs of the stations that
+/// transmit in `T(R)`, summed in ascending station id from `+0.0` — the
+/// float fold of [`PowerAssignment::total_cost`] on the same assignment:
+/// the reference's other stations contribute exact `+0.0` terms, and its
+/// `-0.0` start becomes `+0.0` at the first term. Station ids are
+/// distinct, so the unstable sort is deterministic.
+pub(crate) fn served_cost_of(mut powers: Vec<(usize, f64)>) -> f64 {
+    powers.sort_unstable_by_key(|&(x, _)| x);
+    powers.iter().fold(0.0, |acc, &(_, p)| acc + p)
 }
 
 fn distribute(
