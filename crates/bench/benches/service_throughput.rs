@@ -10,17 +10,14 @@
 //! * `single_thread` — the same service pinned to 1 worker (the
 //!   byte-identity reference the shard is gated against in T12);
 //! * `per_group_cold` — the pre-service status quo: per batch and per
-//!   group, a cold rebuild on the group's current state
-//!   ([`shapley_drop_run_from`] for Shapley groups, a fresh
-//!   [`NetWorthOracle`] + [`vcg_outcome`] for MC groups), reconstructed
-//!   from sparse recorded states so the recording itself stays in
-//!   memory at G = 1024.
+//!   group, a cold rebuild on the group's current bids, one
+//!   [`ColdSession`] per group (`shapley_drop_run_from` for Shapley
+//!   groups, a fresh `NetWorthOracle` + `vcg_outcome` for MC groups).
 //!
 //! All variants start **after** the warm-up batches (absorbed outside
 //! the timers) and replay the same churn batches on identical state
-//! sequences; the warm variants clone the warmed service inside the
-//! timer (no `iter_batched` in the vendored shim), which counts
-//! *against* them — recorded ratios are conservative. Setup prints the
+//! sequences; every variant clones its warmed state inside the timer
+//! (no `iter_batched` in the vendored shim). Setup prints the
 //! events per iteration so timings convert to events/sec; the headline
 //! numbers are recorded in EXPERIMENTS.md.
 //!
@@ -32,11 +29,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use wmcs_bench::harness::random_euclidean;
 use wmcs_geom::{ChurnEvent, MultiGroupProcess, MultiGroupTrace};
-use wmcs_wireless::incremental::{shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::vcg_outcome;
 use wmcs_wireless::{
-    GroupMechanism, GroupSession, MulticastService, SessionLayout, SubstrateBuilder, TreeKind,
-    UniversalTree,
+    ColdSession, GroupMechanism, MulticastService, SubstrateBuilder, TreeKind, UniversalTree,
 };
 
 /// Churn batches per group after the warm-up batch.
@@ -89,67 +83,6 @@ fn churn_steps(trace: &MultiGroupTrace) -> Vec<Vec<Vec<ChurnEvent>>> {
         .collect()
 }
 
-/// Sparse per-(batch, group) state the cold variant replays: for Shapley
-/// groups the candidate players and their bids, for MC groups the
-/// nonzero station utilities.
-enum ColdState {
-    Shapley(Vec<(usize, f64)>),
-    Mc(Vec<(usize, f64)>),
-}
-
-/// Replay the warm service once, recording each group's pre-reprice
-/// state per churn batch (sparse, so G = 1024 × n = 4096 stays well
-/// under memory).
-fn record_cold_states(
-    ut: &UniversalTree,
-    trace: &MultiGroupTrace,
-    steps: &[Vec<Vec<ChurnEvent>>],
-) -> Vec<Vec<ColdState>> {
-    let mut sessions: Vec<GroupSession> = (0..trace.groups.len())
-        .map(|i| GroupSession::new(GroupMechanism::alternating(i), ut))
-        .collect();
-    for (i, s) in sessions.iter_mut().enumerate() {
-        s.apply_batch(&trace.groups[i].trace.batches[0]);
-    }
-    steps
-        .iter()
-        .map(|batches| {
-            sessions
-                .iter_mut()
-                .enumerate()
-                .map(|(i, s)| match s {
-                    GroupSession::Shapley(s) => {
-                        s.apply_events(&batches[i]);
-                        let bids = s.reported_profile();
-                        let state = s
-                            .active_players()
-                            .into_iter()
-                            .map(|p| (p, bids[p]))
-                            .collect();
-                        s.reprice();
-                        ColdState::Shapley(state)
-                    }
-                    GroupSession::Mc(s) => {
-                        s.apply_events(&batches[i]);
-                        let state = s
-                            .station_utilities()
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &u)| u != 0.0)
-                            .map(|(x, &u)| (x, u))
-                            .collect();
-                        s.reprice();
-                        ColdState::Mc(state)
-                    }
-                    GroupSession::SparseShapley(_) | GroupSession::SparseMc(_) => {
-                        unreachable!("GroupSession::new pins the dense layout")
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
 fn service_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_throughput");
     group.sample_size(10);
@@ -170,9 +103,8 @@ fn service_throughput(c: &mut Criterion) {
     let warmed_serial = warmed.clone().with_threads(1);
     let label = format!("G{g}_n{n}");
     eprintln!(
-        "service_throughput: warm session state {} bytes/group ({:?} layout via Auto)",
-        warmed.memory_bytes() / g,
-        SessionLayout::Auto.resolve(n)
+        "service_throughput: warm session state {} bytes/group",
+        warmed.memory_bytes() / g
     );
 
     group.bench_with_input(BenchmarkId::new("sharded", &label), &g, |b, _| {
@@ -204,40 +136,25 @@ fn service_throughput(c: &mut Criterion) {
         })
     });
 
-    let cold_states = record_cold_states(&ut, &trace, &steps);
-    let n_players = ut.network().n_players();
-    let n_stations = ut.network().n_stations();
+    // One cold reference per group, holding its bids after the warm-up
+    // batch.
+    let warmed_cold: Vec<ColdSession> = trace
+        .groups
+        .iter()
+        .enumerate()
+        .map(|(i, gr)| {
+            let mut cold = ColdSession::new(GroupMechanism::alternating(i), &ut);
+            cold.price_batch(&gr.trace.batches[0]);
+            cold
+        })
+        .collect();
     group.bench_with_input(BenchmarkId::new("per_group_cold", &label), &g, |b, _| {
         b.iter(|| {
-            // Shared scratch vectors, filled and cleared per group.
-            let mut bids = vec![0.0f64; n_players];
-            let mut u_st = vec![0.0f64; n_stations];
+            let mut cold = warmed_cold.clone();
             let mut served = 0usize;
-            for step in &cold_states {
-                for state in step {
-                    match state {
-                        ColdState::Shapley(players) => {
-                            for &(p, bid) in players {
-                                bids[p] = bid;
-                            }
-                            let ids: Vec<usize> = players.iter().map(|&(p, _)| p).collect();
-                            served += shapley_drop_run_from(&ut, &bids, &ids).receivers.len();
-                            for &(p, _) in players {
-                                bids[p] = 0.0;
-                            }
-                        }
-                        ColdState::Mc(stations) => {
-                            for &(x, u) in stations {
-                                u_st[x] = u;
-                            }
-                            served += vcg_outcome(&ut, &NetWorthOracle::new(&ut, &u_st))
-                                .receivers
-                                .len();
-                            for &(x, _) in stations {
-                                u_st[x] = 0.0;
-                            }
-                        }
-                    }
+            for batches in &steps {
+                for (group, batch) in cold.iter_mut().zip(batches) {
+                    served += group.price_batch(batch).receivers.len();
                 }
             }
             served

@@ -3,7 +3,7 @@
 //! Replays one deterministic churn trace (16 batches + warm-up) through
 //! three ways of serving it with `M(Shapley)`:
 //!
-//! * `warm` — one [`ShapleySession`]: events absorbed in `O(path)`, the
+//! * `warm` — one [`SparseShapleySession`]: events absorbed in `O(path)`, the
 //!   drop loop restarted from the surviving set with the warm engine;
 //! * `cold_from_set` — per batch, a fresh engine rebuilt from scratch on
 //!   the same current receiver set (the byte-identity reference,
@@ -34,8 +34,10 @@ use std::time::Duration;
 use wmcs_bench::harness::random_euclidean;
 use wmcs_geom::{ChurnProcess, ChurnTrace};
 use wmcs_wireless::incremental::{shapley_drop_run, shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::{vcg_outcome, McSession, ShapleySession};
-use wmcs_wireless::{SubstrateBuilder, TreeKind, UniversalTree};
+use wmcs_wireless::session::vcg_outcome;
+use wmcs_wireless::{
+    SparseMcSession, SparseShapleySession, SubstrateBuilder, TreeKind, UniversalTree,
+};
 
 /// Instance + trace shared by every variant at a given size: bids scaled
 /// to the per-player broadcast cost (the T10/T11 regime).
@@ -52,8 +54,8 @@ fn setup(n: usize) -> (UniversalTree, ChurnTrace) {
 
 /// A session with the warm-up batch (batch 0) already absorbed and
 /// repriced — the steady state every timed variant starts from.
-fn warmed_session(ut: &UniversalTree, trace: &ChurnTrace) -> ShapleySession {
-    let mut session = ShapleySession::new(ut);
+fn warmed_session(ut: &UniversalTree, trace: &ChurnTrace) -> SparseShapleySession {
+    let mut session = SparseShapleySession::new(ut);
     session.apply_batch(&trace.batches[0]);
     session
 }
@@ -115,13 +117,13 @@ fn session_churn(c: &mut Criterion) {
         let (ut, trace) = setup(n);
         // A warmed MC session plus, per churn batch, the station-utility
         // vector it holds after that batch (the cold DP's input).
-        let mut warmed = McSession::new(&ut);
+        let mut warmed = SparseMcSession::new(&ut);
         warmed.apply_batch(&trace.batches[0]);
         let mut recorder = warmed.clone();
         let mut profiles = Vec::with_capacity(trace.batches.len() - 1);
         for batch in &trace.batches[1..] {
             recorder.apply_events(batch);
-            profiles.push(recorder.station_utilities().to_vec());
+            profiles.push(recorder.station_utilities());
             recorder.reprice();
         }
         g.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {

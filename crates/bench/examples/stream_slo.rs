@@ -9,16 +9,13 @@
 //! * **throughput** — the timed drive must sustain at least
 //!   `WMCS_STREAM_SLO_MIN` events/s (default 1 000 000; the env override
 //!   exists because CI containers are 1-core and heavily shared, see
-//!   `.github/workflows/ci.yml`). At n = 10⁵ the `SessionLayout::Auto`
-//!   default resolves every group to the **compact-frame (sparse)**
-//!   layout, so warm state is the member path closure (~397 KB/group,
-//!   ~1.6 GB total) instead of universe-sized vectors (~5.3 MB/group,
-//!   ~21 GB at full G — the old dense drive was memory-bound at ~0.65M
-//!   ev/s on the 1-core reference container against ~7.1M sparse on the
-//!   dev box; EXPERIMENTS.md records both sweeps);
+//!   `.github/workflows/ci.yml`). Every group's warm state is the
+//!   frame-local member path closure (~397 KB/group, ~1.6 GB total),
+//!   not universe-sized vectors (~5.3 MB/group); EXPERIMENTS.md records
+//!   the sweeps;
 //! * **memory** — warm bytes/group (printed from
 //!   [`StreamService::memory_bytes`]) must stay under a 512 KB ceiling,
-//!   pinning the ≥ 10× sparse saving against dense regressions;
+//!   pinning the ≥ 10× frame saving against regressions;
 //! * **accounting** — every submission is accepted (capacity 1024 >
 //!   watermark 512 means the queue can never saturate before sealing),
 //!   nothing is rejected or retried, and exactly one epoch seals per
@@ -64,8 +61,9 @@ const CAPACITY: usize = 1024;
 const THREADS: usize = 2;
 /// Warm bytes/group ceiling: the compact-frame layout measures ~397 KB
 /// per group at MEMBERS = 32 (a ~5 200-station path closure — SPT paths
-/// under distance² costs are many-hop), against ~5.3 MB dense. The
-/// ceiling pins the ≥ 10× drop with headroom for deeper member draws.
+/// under distance² costs are many-hop), against ~5.3 MB for
+/// universe-sized vectors. The ceiling pins the ≥ 10× drop with headroom
+/// for deeper member draws.
 const MEMORY_CEILING: usize = 524_288;
 
 fn main() {
@@ -177,17 +175,16 @@ fn main() {
         );
     }
 
-    // Warm-memory SLO: n = 10⁵ ≥ SPARSE_AUTO_THRESHOLD, so Auto resolves
-    // every session to the compact-frame layout and per-group warm state
-    // tracks the member path closure, not the universe. The dense layout
-    // measures ~5.3 MB/group here (universe-sized vectors); the ceiling
-    // asserts the ≥ 10× drop with generous headroom.
+    // Warm-memory SLO: per-group warm state tracks the member path
+    // closure, not the universe. Universe-sized vectors would measure
+    // ~5.3 MB/group here; the ceiling asserts the ≥ 10× drop with
+    // generous headroom.
     let bytes_per_group = svc.memory_bytes() / G;
     println!("warm session state: {bytes_per_group} bytes/group (G = {G}, n = {N})");
     assert!(
         bytes_per_group <= MEMORY_CEILING,
         "warm state {bytes_per_group} B/group exceeds the {MEMORY_CEILING} B ceiling \
-         (dense-layout regression? Auto must resolve to Sparse at n = {N})"
+         (warm state must track the member closure at n = {N})"
     );
 
     // BB spot-check on the first Shapley group's sealed epoch.

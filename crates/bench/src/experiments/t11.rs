@@ -6,8 +6,8 @@
 //! same instance — *light* (a handful of events per batch, the stable
 //! session regime) and *heavy* (a constant fraction of the universe per
 //! batch, the flash-crowd regime) — through a warm
-//! [`wmcs_wireless::ShapleySession`] and a warm
-//! [`wmcs_wireless::McSession`], gating after **every** batch:
+//! [`wmcs_wireless::SparseShapleySession`] and a warm
+//! [`wmcs_wireless::SparseMcSession`], gating after **every** batch:
 //!
 //! * exact budget balance of the charged Shapley shares against the
 //!   multicast cost of the currently served subtree;
@@ -26,8 +26,8 @@ use crate::harness::scenario_network;
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};
 use wmcs_geom::{ChurnProcess, LayoutFamily, Scenario, BB_TOL, EPS, VP_TOL};
 use wmcs_wireless::incremental::{shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::{vcg_outcome, McSession, ShapleySession};
-use wmcs_wireless::{SubstrateBuilder, TreeKind};
+use wmcs_wireless::session::vcg_outcome;
+use wmcs_wireless::{SparseMcSession, SparseShapleySession, SubstrateBuilder, TreeKind};
 
 /// Batches per trace (after the warm-up batch that joins half the
 /// universe).
@@ -93,8 +93,8 @@ impl Experiment for T11 {
         for (rate, process) in traces.iter().enumerate() {
             let trace = process.generate();
             events[rate] = trace.n_events() as f64;
-            let mut shapley = ShapleySession::new(&ut);
-            let mut mc = McSession::new(&ut);
+            let mut shapley = SparseShapleySession::new(&ut);
+            let mut mc = SparseMcSession::new(&ut);
             for batch in &trace.batches {
                 shapley.apply_events(batch);
                 let candidates = shapley.active_players();
@@ -134,7 +134,7 @@ impl Experiment for T11 {
                     .iter()
                     .all(|&p| eff.shares[p] <= mc_bids[p] + VP_TOL * (1.0 + mc_bids[p].abs()));
                 if scenario.n <= 256 {
-                    let cold = vcg_outcome(&ut, &NetWorthOracle::new(&ut, mc.station_utilities()));
+                    let cold = vcg_outcome(&ut, &NetWorthOracle::new(&ut, &mc.station_utilities()));
                     mc_ok &= cold.receivers == eff.receivers
                         && cold.shares == eff.shares
                         && cold.served_cost == eff.served_cost;

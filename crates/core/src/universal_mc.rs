@@ -10,7 +10,7 @@
 //! `O(n + Σ depth)` instead of one `O(n)` DP per receiver.
 
 use wmcs_game::{Mechanism, MechanismOutcome};
-use wmcs_wireless::{vcg_outcome, McSession, NetWorthOracle, UniversalTree};
+use wmcs_wireless::{vcg_outcome, NetWorthOracle, SparseMcSession, UniversalTree};
 
 /// The MC mechanism over a universal broadcast tree.
 #[derive(Debug, Clone)]
@@ -37,10 +37,9 @@ impl UniversalMcMechanism {
     /// Start a live churn session over this mechanism's universal tree:
     /// the warm-state engine that re-prices the VCG outcome across
     /// `Join`/`Leave`/`Rebid` batches, byte-identical to re-running
-    /// [`Mechanism::run`] on the current bid vector after every batch
-    /// (both evaluate [`wmcs_wireless::vcg_outcome`]).
-    pub fn session(&self) -> McSession {
-        McSession::new(&self.tree)
+    /// [`Mechanism::run`] on the current bid vector after every batch.
+    pub fn session(&self) -> SparseMcSession {
+        SparseMcSession::new(&self.tree)
     }
 
     fn utilities_by_station(&self, reported: &[f64]) -> Vec<f64> {
@@ -61,8 +60,8 @@ impl Mechanism for UniversalMcMechanism {
     fn run(&self, reported: &[f64]) -> MechanismOutcome {
         assert_eq!(reported.len(), self.n_players());
         let u = self.utilities_by_station(reported);
-        // The same evaluation path a live McSession's reprice uses, so
-        // one-shot runs and warm sessions cannot diverge.
+        // The cold evaluation path every live session reprice is gated
+        // against.
         vcg_outcome(&self.tree, &NetWorthOracle::new(&self.tree, &u))
     }
 }

@@ -13,7 +13,7 @@
 //! run routinely (experiment T10).
 
 use wmcs_game::{Mechanism, MechanismOutcome};
-use wmcs_wireless::{incremental, PowerAssignment, ShapleySession, UniversalTree};
+use wmcs_wireless::{incremental, PowerAssignment, SparseShapleySession, UniversalTree};
 
 /// `M(Shapley)` over a universal broadcast tree.
 #[derive(Debug, Clone)]
@@ -38,8 +38,8 @@ impl UniversalShapleyMechanism {
     /// batches, byte-identical to a cold
     /// [`wmcs_wireless::shapley_drop_run_from`] on the current receiver
     /// set after every batch.
-    pub fn session(&self) -> ShapleySession {
-        ShapleySession::new(&self.tree)
+    pub fn session(&self) -> SparseShapleySession {
+        SparseShapleySession::new(&self.tree)
     }
 
     /// The power assignment that serves the given outcome's receivers.

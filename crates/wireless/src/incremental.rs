@@ -23,28 +23,28 @@
 //!   zeroed" in `O(depth)` via per-station prefix/suffix maxima, instead
 //!   of one full `O(n)` DP per receiver.
 //!
-//! Both structures are also **mutable in place** — the substrate of the
-//! live sessions in [`crate::session`]:
+//! Both index the whole universe, so they are the **cold** engines: the
+//! one-shot mechanisms and the from-scratch references
+//! ([`shapley_drop_run_from`], `vcg_outcome` over a fresh
+//! [`NetWorthOracle`]) that the warm frame-local sessions of
+//! [`crate::sparse`] are pinned to byte for byte:
 //!
 //! | operation | cost | invariant |
 //! |---|---|---|
 //! | [`IncrementalShapley::drop_receiver`] | `O(depth)` | state equals a fresh build on the shrunken set |
-//! | [`IncrementalShapley::add_receiver`] | `O(depth + sibling scans)` | state equals a fresh build on the enlarged set |
 //! | [`IncrementalShapley::round_shares_by_station`] | `O(\|T(R)\|)` | the paper's §2.1 split on the current set |
 //! | [`IncrementalShapley::served_cost`] | `O(\|T(R)\| log \|T(R)\|)` | bitwise equal to `multicast_cost` on the current set |
-//! | [`NetWorthOracle::set_utility`] | `O(Σ deg over the dirty path prefix)` | every stored float equals a fresh DP's |
 //! | [`NetWorthOracle::net_worth_zeroing`] | `O(depth)` | agrees with a full DP on the zeroed profile |
 //!
-//! The "equals a fresh build" invariants are what make a warm session
-//! *byte-identical* to a cold rebuild — the property suites
-//! (`tests/incremental_props.rs`, `tests/session_props.rs`) and
-//! experiments T10/T11 pin them.
+//! The property suites (`tests/incremental_props.rs`,
+//! `tests/session_props.rs`, `tests/sparse_props.rs`) and experiments
+//! T10/T11/T15 pin them.
 //!
 //! Both universal-tree mechanisms in `wmcs-mechanisms` delegate here,
 //! and the drop loop itself is the shared index-set driver
 //! [`wmcs_game::run_drop_loop`] (resumable variant:
-//! [`wmcs_game::run_drop_loop_from`], used by [`shapley_drop_run_from`]
-//! and the sessions) — the same iteration the mask-based
+//! [`wmcs_game::run_drop_loop_from`], used by [`shapley_drop_run_from`])
+//! — the same iteration the mask-based
 //! [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so the two
 //! cannot diverge on EPS conventions. The driver charges the fixpoint
 //! round's shares: the top-down pass adds, per receiver, the same
@@ -84,7 +84,7 @@ pub struct IncrementalShapley {
     in_r: Vec<bool>,
     /// Active receivers in the station's universal-tree subtree;
     /// `rb[v] > 0` ⟺ `v ∈ T(R) \ {source}`. `u32` — counts are bounded
-    /// by the substrate's `n < u32::MAX` invariant, so the warm arrays
+    /// by the substrate's `n < u32::MAX` invariant, so the arrays
     /// ride the same memory diet as the substrate's id state.
     rb: Vec<u32>,
     /// Intrusive cost-ordered list of each station's children with
@@ -236,61 +236,6 @@ impl IncrementalShapley {
         }
     }
 
-    /// Add receiver `r` (the inverse of [`IncrementalShapley::drop_receiver`],
-    /// used by live sessions to serve `Join` events from warm state):
-    /// increment the subtree counts on its root path and splice stations
-    /// whose subtree just became non-empty into their parent's
-    /// active-children list at the cost-ordered position. `O(depth of r +
-    /// Σ sibling scans)`; the resulting state is identical to rebuilding
-    /// the engine from scratch on the enlarged receiver set, which is what
-    /// keeps a warm session byte-identical to a cold start.
-    pub fn add_receiver(&mut self, r: usize) {
-        debug_assert!(!self.in_r[r], "station {r} is already an active receiver");
-        assert!(
-            r != self.ut.network().source(),
-            "the source cannot be a receiver"
-        );
-        let sub = self.ut.substrate().clone();
-        self.in_r[r] = true;
-        let mut v = r;
-        loop {
-            self.rb[v] += 1;
-            let p = sub.parent_of(v);
-            if p == NONE {
-                break;
-            }
-            if self.rb[v] == 1 {
-                // v entered T(R): splice it into p's active children just
-                // after its nearest active cost-order predecessor.
-                let kids = sub.sorted_children(p);
-                let mut pr = NodeId::NONE;
-                for &y in kids[..sub.pos_in_parent(v)].iter().rev() {
-                    if self.rb[y.index()] > 0 {
-                        pr = y;
-                        break;
-                    }
-                }
-                let nx = if pr.is_none() {
-                    self.first_child[p]
-                } else {
-                    self.next_sib[pr.index()]
-                };
-                let vid = NodeId::from_index(v);
-                self.prev_sib[v] = pr;
-                self.next_sib[v] = nx;
-                if pr.is_none() {
-                    self.first_child[p] = vid;
-                } else {
-                    self.next_sib[pr.index()] = vid;
-                }
-                if !nx.is_none() {
-                    self.prev_sib[nx.index()] = vid;
-                }
-            }
-            v = p;
-        }
-    }
-
     /// The currently-active receiver stations, ascending.
     pub fn active_stations(&self) -> Vec<usize> {
         (0..self.in_r.len()).filter(|&v| self.in_r[v]).collect()
@@ -320,39 +265,16 @@ impl IncrementalShapley {
         served_cost_of(powers)
     }
 
-    /// Is station `v` currently an active receiver?
-    pub fn is_active(&self, v: usize) -> bool {
-        self.in_r[v]
-    }
-
     /// Rounds executed so far.
     pub fn rounds(&self) -> usize {
         self.rounds
     }
-
-    /// Heap bytes of this engine's per-session state. The shared
-    /// substrate is *excluded*: it is allocated once per universe, not
-    /// per group, which is exactly the accounting the memory-diet
-    /// experiments need (`G` engines over one universe pay `G ×` this
-    /// figure plus one substrate).
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.in_r.capacity() * size_of::<bool>()
-            + self.rb.capacity() * size_of::<u32>()
-            + (self.first_child.capacity() + self.next_sib.capacity() + self.prev_sib.capacity())
-                * size_of::<NodeId>()
-            + (self.down.capacity() + self.shares.capacity()) * size_of::<f64>()
-            + self.stack.capacity() * size_of::<usize>()
-    }
 }
 
 /// Player-indexed [`DropLoopMethod`] over a borrowed incremental engine:
-/// the driver speaks player ids, the engine speaks station ids. Borrowing
-/// (rather than owning) the engine is what lets a live session
-/// ([`crate::session::ShapleySession`]) keep the same engine warm across
-/// many drop-loop runs.
-pub(crate) struct PlayerAdapter<'e> {
-    pub(crate) engine: &'e mut IncrementalShapley,
+/// the driver speaks player ids, the engine speaks station ids.
+struct PlayerAdapter<'e> {
+    engine: &'e mut IncrementalShapley,
 }
 
 impl DropLoopMethod for PlayerAdapter<'_> {
@@ -409,7 +331,7 @@ pub fn shapley_drop_run_with_stats(
 /// Cold-start a Moulin–Shenker run from an explicit **player** subset:
 /// build a fresh engine on exactly those receivers and run the drop loop
 /// from them (not from `U`). This is the from-scratch reference a warm
-/// [`crate::session::ShapleySession`] must match byte for byte after
+/// [`crate::sparse::SparseShapleySession`] must match byte for byte after
 /// every churn batch, and the "cold" side of the `session_churn` bench.
 ///
 /// `players` must be strictly ascending; `reported` is full length
@@ -534,12 +456,9 @@ impl NetWorthOracle {
     }
 
     /// Recompute every stored DP quantity at station `v` from its
-    /// children's current `h` values — the per-station kernel shared by
-    /// the full bottom-up pass ([`NetWorthOracle::new`]) and the `O(path)`
-    /// utility update ([`NetWorthOracle::set_utility`]). Sharing one
-    /// kernel is what makes an updated oracle *byte-identical* to a
-    /// freshly built one: both run the same arithmetic on the same
-    /// inputs. `O(children of v)`.
+    /// children's current `h` values — one step of the bottom-up pass
+    /// ([`NetWorthOracle::new`]); `SparseNetWorth`'s kernel replays it on
+    /// local ids. `O(children of v)`.
     fn recompute_station(&mut self, sub: &crate::substrate::TreeSubstrate, v: usize) {
         let net = sub.network();
         let s = net.source();
@@ -581,47 +500,9 @@ impl NetWorthOracle {
         self.choice[v] = u32::try_from(bj).expect("child count fits u32");
     }
 
-    /// Replace station `x`'s utility and repair the DP along `x`'s root
-    /// path — the warm-state analogue of rebuilding the oracle on the
-    /// modified profile, used by [`crate::session::McSession`] to absorb
-    /// churn events. Costs `O(Σ children over the dirty prefix of the
-    /// path)` and stops as soon as an ancestor's `h` is unchanged (its
-    /// parent only sees `h`). The updated oracle equals
-    /// `NetWorthOracle::new(ut, modified_u)` in every stored float.
-    pub fn set_utility(&mut self, x: usize, utility: f64) {
-        let sub = self.ut.substrate().clone();
-        let s = sub.network().source();
-        assert!(x != s, "the source has no utility");
-        self.u[x] = utility;
-        // x's own prefix arrays depend only on its children, which are
-        // untouched — only own(x) changes.
-        let old = self.h[x];
-        self.h[x] = utility.max(0.0) + self.best[x];
-        if self.h[x] == old {
-            return;
-        }
-        let mut v = x;
-        while v != s {
-            let p = sub.parent_of(v);
-            debug_assert!(p != NONE, "non-source station has a parent");
-            let before = self.h[p];
-            self.recompute_station(&sub, p);
-            if self.h[p] == before {
-                return;
-            }
-            v = p;
-        }
-    }
-
     /// Station `x`'s current utility as stored by the oracle.
     pub fn utility(&self, x: usize) -> f64 {
         self.u[x]
-    }
-
-    /// The full station-indexed utility vector the oracle currently
-    /// holds (what a cold `NetWorthOracle::new` rebuild would consume).
-    pub fn utilities(&self) -> &[f64] {
-        &self.u
     }
 
     /// Maximal net worth `NW(u)`.
@@ -690,47 +571,18 @@ impl NetWorthOracle {
         }
         hv
     }
-
-    /// Heap bytes of this oracle's per-session state (the shared
-    /// substrate is excluded, exactly as in
-    /// [`IncrementalShapley::memory_bytes`]).
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.u.capacity()
-            + self.h.capacity()
-            + self.best.capacity()
-            + self.pre.capacity()
-            + self.suf.capacity())
-            * size_of::<f64>()
-            + self.choice.capacity() * size_of::<u32>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
+    use crate::builder::SubstrateBuilder;
     use crate::network::WirelessNetwork;
+    use crate::random_tree;
+    use crate::sparse::{SparseNetWorth, SparseShapley};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{approx_eq, Point, PowerModel};
     use wmcs_graph::RootedTree;
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        if seed.is_multiple_of(2) {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Spt)
-                .build_universal()
-        } else {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Mst)
-                .build_universal()
-        }
-    }
 
     /// Chain 0 → 1 → 2 plus branch 1 → 3 (the universal.rs fixture).
     fn chain_tree() -> UniversalTree {
@@ -791,13 +643,16 @@ mod tests {
 
     #[test]
     fn add_and_drop_walk_matches_recomputation_from_scratch() {
-        // A random join/leave walk over the receiver set: after every
-        // step the engine's round shares must equal the reference split
-        // on the current set, and joins must exactly invert drops.
+        // A random join/leave walk over the receiver set on the warm
+        // frame engine: after every step its round shares and served
+        // cost must equal, bit for bit, a cold engine built from scratch
+        // on the current set (and the shares the reference split), so
+        // joins exactly invert drops.
         for seed in 0..20 {
             let ut = random_tree(seed, 14);
             let all = ut.network().non_source_stations();
-            let mut engine = IncrementalShapley::new(&ut, &[]);
+            let mut engine = SparseShapley::new(&ut);
+            let mut local = vec![u32::MAX; ut.network().n_stations()];
             let mut alive: Vec<usize> = Vec::new();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xadd);
             for _step in 0..60 {
@@ -805,22 +660,34 @@ mod tests {
                     let candidates: Vec<usize> =
                         all.iter().copied().filter(|v| !alive.contains(v)).collect();
                     let v = candidates[rng.gen_range(0..candidates.len())];
-                    engine.add_receiver(v);
+                    local[v] = engine.add_receiver(v);
                     alive.push(v);
                 } else {
                     let v = alive.remove(rng.gen_range(0..alive.len()));
-                    engine.drop_receiver(v);
+                    engine.drop_receiver_local(local[v]);
                 }
                 if alive.is_empty() {
                     continue;
                 }
-                let fast = engine.round_shares_by_station().to_vec();
+                let mut cold = IncrementalShapley::new(&ut, &alive);
+                assert_eq!(
+                    engine.served_cost().to_bits(),
+                    cold.served_cost().to_bits(),
+                    "seed {seed}, alive {alive:?}"
+                );
+                let fast = engine.round_shares_by_local().to_vec();
+                let fresh = cold.round_shares_by_station();
                 let reference = ut.shapley_shares(&alive);
                 for &r in &alive {
+                    let warm = fast[local[r] as usize];
+                    assert_eq!(
+                        warm.to_bits(),
+                        fresh[r].to_bits(),
+                        "seed {seed}, station {r}"
+                    );
                     assert!(
-                        approx_eq(fast[r], reference[r]),
-                        "seed {seed}, alive {alive:?}, station {r}: {} ≠ {}",
-                        fast[r],
+                        approx_eq(warm, reference[r]),
+                        "seed {seed}, alive {alive:?}, station {r}: {warm} ≠ {}",
                         reference[r]
                     );
                 }
@@ -853,16 +720,24 @@ mod tests {
 
     #[test]
     fn set_utility_repairs_the_oracle_byte_for_byte() {
+        // The warm frame oracle, repaired one utility at a time from a
+        // fully populated profile, equals a cold DP on the same profile
+        // in every query.
         for seed in 0..20 {
             let ut = random_tree(seed, 12);
             let n = ut.network().n_stations();
+            let s = ut.network().source();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e7);
             let mut u: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..8.0)).collect();
-            let mut warm = NetWorthOracle::new(&ut, &u);
+            u[s] = 0.0;
+            let mut warm = SparseNetWorth::new(&ut);
+            for x in ut.network().non_source_stations() {
+                warm.set_utility(x, u[x]);
+            }
             for _event in 0..25 {
                 let x = loop {
                     let x = rng.gen_range(0..n);
-                    if x != ut.network().source() {
+                    if x != s {
                         break x;
                     }
                 };

@@ -16,16 +16,17 @@
 //!   largest-efficient-set tree DP for the MC mechanism;
 //! * [`incremental`] — the incremental Moulin–Shenker engine and the
 //!   `O(depth)`-per-query VCG net-worth oracle that scale both §2.1
-//!   mechanisms to thousands of stations;
+//!   mechanisms to thousands of stations: the one-shot engines and the
+//!   cold references the warm sessions are gated against;
 //! * [`substrate`] — the shared universal-tree substrate: network +
 //!   cost-sorted CSR children behind an `Arc`, built once and shared by
 //!   every engine, session and group;
-//! * [`session`] — live multicast sessions: both §2.1 mechanisms served
-//!   across a churn stream (join/leave/rebid) from warm state,
-//!   byte-identical to a cold rebuild after every batch;
-//! * [`sparse`] — compact-frame warm sessions: per-group memory
+//! * [`session`] — live multicast sessions: the event semantics of both
+//!   §2.1 mechanisms served across a churn stream (join/leave/rebid)
+//!   from warm state, byte-identical to a cold rebuild after every batch;
+//! * [`sparse`] — the warm engines and sessions: per-group memory
 //!   `O(|closure(R_g)|)` instead of `O(n)` via [`substrate::Subframe`]
-//!   local ids, byte-identical in outcomes to the dense sessions;
+//!   local ids;
 //! * [`service`] — the sharded multi-group service layer: G concurrent
 //!   groups, each a warm session, priced over one substrate by a
 //!   work-stealing worker pool with per-group byte-determinism;
@@ -76,11 +77,8 @@ pub use memt::{memt_exact, MemtCostTable, OptimalMulticastCost, MAX_EXACT_STATIO
 pub use mst_heuristic::{mst_broadcast, mst_multicast, steiner_multicast};
 pub use network::WirelessNetwork;
 pub use power::PowerAssignment;
-pub use service::{
-    GroupMechanism, GroupOutcome, GroupSession, MulticastService, SessionLayout,
-    SPARSE_AUTO_THRESHOLD,
-};
-pub use session::{vcg_outcome, ChurnEvent, ChurnProcess, ChurnTrace, McSession, ShapleySession};
+pub use service::{GroupMechanism, GroupOutcome, GroupSession, MulticastService, SessionLayout};
+pub use session::{vcg_outcome, ChurnEvent, ChurnProcess, ChurnTrace, ColdSession};
 pub use sparse::{SparseMcSession, SparseNetWorth, SparseShapley, SparseShapleySession};
 pub use stream::{
     epoch_plan, replay_reference, Admission, EpochOutcome, GroupStreamReport, StreamConfig,
@@ -88,6 +86,25 @@ pub use stream::{
 };
 pub use substrate::{NodeId, Subframe, TreeSubstrate, NO_STATION};
 pub use universal::{UniversalTree, UniversalTreeCost};
+
+/// A random Euclidean universal tree for the unit tests: `n` uniform
+/// stations in a 10 × 10 square, source 0, SPT on even seeds and MST on
+/// odd ones.
+#[cfg(test)]
+pub(crate) fn random_tree(seed: u64, n: usize) -> UniversalTree {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let pts: Vec<wmcs_geom::Point> = (0..n)
+        .map(|_| wmcs_geom::Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
+        .collect();
+    let net = WirelessNetwork::euclidean(pts, wmcs_geom::PowerModel::free_space(), 0);
+    let kind = if seed.is_multiple_of(2) {
+        TreeKind::Spt
+    } else {
+        TreeKind::Mst
+    };
+    SubstrateBuilder::new(&net).tree(kind).build_universal()
+}
 
 #[cfg(test)]
 mod integration_tests {

@@ -10,8 +10,9 @@
 //!
 //! * one `O(1)`-clone [`UniversalTree`] handle — the immutable
 //!   [`crate::substrate::TreeSubstrate`] every group shares;
-//! * per group, a warm session ([`ShapleySession`] or [`McSession`])
-//!   whose engine state is the only per-group allocation.
+//! * per group, a warm frame-local session ([`SparseShapleySession`] or
+//!   [`SparseMcSession`]) whose `O(|closure|)` engine state is the only
+//!   per-group allocation.
 //!
 //! # Batch ingestion and sharding
 //!
@@ -33,7 +34,6 @@
 //! group to an *independent single-group session over its own freshly
 //! built substrate* — cross-group isolation down to the last float).
 
-use crate::session::{McSession, ShapleySession};
 use crate::sparse::{SparseMcSession, SparseShapleySession};
 use crate::universal::UniversalTree;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,47 +41,17 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::churn::ChurnEvent;
 
-/// Universe size at which [`SessionLayout::Auto`] switches a group's
-/// warm state to the sparse (frame-local) layout. Below it the dense
-/// arrays are small enough that the pointer-chasing frame buys nothing;
-/// at and above it per-group `O(n)` state dominates the footprint (the
-/// streaming-SLO regime). Every committed experiment scenario sits at
-/// `n ≤ 256`, so `Auto` keeps their baselines on the pinned dense path.
-pub const SPARSE_AUTO_THRESHOLD: usize = 4096;
-
-/// How a group's warm session state is laid out in memory.
+/// The former warm-state layout knob, now with nothing to choose: every
+/// group runs on the frame engine.
 ///
-/// Both layouts produce **byte-identical** outcomes (pinned by
-/// `tests/sparse_props.rs` and experiment T15); the knob trades the
-/// dense engines' `O(n)`-per-group arrays against the sparse engines'
-/// `O(|T(R_g)|)` frame-local state (see [`crate::sparse`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Hidden; kept only because the repository benchmark
+/// (`perfbench/src/trace.rs`) still passes `SessionLayout::Auto` to
+/// [`GroupSession::with_layout`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionLayout {
-    /// Universe-indexed arrays — the pinned reference layout.
-    Dense,
-    /// Frame-local arrays over the group's path closure.
-    Sparse,
-    /// `Sparse` when the universe has at least
-    /// [`SPARSE_AUTO_THRESHOLD`] stations, `Dense` otherwise (the
-    /// default).
-    #[default]
+    /// The only value.
     Auto,
-}
-
-impl SessionLayout {
-    /// Resolve `Auto` against a concrete universe size.
-    pub fn resolve(self, n_stations: usize) -> SessionLayout {
-        match self {
-            SessionLayout::Auto => {
-                if n_stations >= SPARSE_AUTO_THRESHOLD {
-                    SessionLayout::Sparse
-                } else {
-                    SessionLayout::Dense
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 /// Which §2.1 mechanism a group is priced with.
@@ -116,56 +86,39 @@ impl GroupMechanism {
 /// own substrate).
 #[derive(Debug, Clone)]
 pub enum GroupSession {
-    /// A Moulin–Shenker Shapley session (dense layout).
-    Shapley(ShapleySession),
-    /// A marginal-cost (VCG) session (dense layout).
-    Mc(McSession),
-    /// A Moulin–Shenker Shapley session in the sparse layout.
-    SparseShapley(SparseShapleySession),
-    /// A marginal-cost (VCG) session in the sparse layout.
-    SparseMc(SparseMcSession),
+    /// A Moulin–Shenker Shapley session.
+    Shapley(SparseShapleySession),
+    /// A marginal-cost (VCG) session.
+    Mc(SparseMcSession),
 }
 
 impl GroupSession {
-    /// An empty **dense** session priced with `mechanism` over `ut` —
-    /// the pinned reference layout every byte-identity gate compares
-    /// against. Use [`GroupSession::with_layout`] to pick a layout.
+    /// An empty session priced with `mechanism` over `ut`. `O(1)`: no
+    /// universe-sized allocation.
     pub fn new(mechanism: GroupMechanism, ut: &UniversalTree) -> Self {
-        Self::with_layout(mechanism, ut, SessionLayout::Dense)
+        match mechanism {
+            GroupMechanism::Shapley => GroupSession::Shapley(SparseShapleySession::new(ut)),
+            GroupMechanism::MarginalCost => GroupSession::Mc(SparseMcSession::new(ut)),
+        }
     }
 
-    /// An empty session priced with `mechanism` over `ut`, in the given
-    /// [`SessionLayout`] (`Auto` resolves against the universe size).
+    /// [`GroupSession::new`]; the layout has nothing to choose. Hidden;
+    /// kept only because the repository benchmark still calls it (see
+    /// [`SessionLayout`]).
+    #[doc(hidden)]
     pub fn with_layout(
         mechanism: GroupMechanism,
         ut: &UniversalTree,
-        layout: SessionLayout,
+        _layout: SessionLayout,
     ) -> Self {
-        match (mechanism, layout.resolve(ut.network().n_stations())) {
-            (GroupMechanism::Shapley, SessionLayout::Sparse) => {
-                GroupSession::SparseShapley(SparseShapleySession::new(ut))
-            }
-            (GroupMechanism::Shapley, _) => GroupSession::Shapley(ShapleySession::new(ut)),
-            (GroupMechanism::MarginalCost, SessionLayout::Sparse) => {
-                GroupSession::SparseMc(SparseMcSession::new(ut))
-            }
-            (GroupMechanism::MarginalCost, _) => GroupSession::Mc(McSession::new(ut)),
-        }
+        Self::new(mechanism, ut)
     }
 
     /// The mechanism this session prices with.
     pub fn mechanism(&self) -> GroupMechanism {
         match self {
-            GroupSession::Shapley(_) | GroupSession::SparseShapley(_) => GroupMechanism::Shapley,
-            GroupSession::Mc(_) | GroupSession::SparseMc(_) => GroupMechanism::MarginalCost,
-        }
-    }
-
-    /// The concrete layout this session's warm state uses.
-    pub fn layout(&self) -> SessionLayout {
-        match self {
-            GroupSession::Shapley(_) | GroupSession::Mc(_) => SessionLayout::Dense,
-            GroupSession::SparseShapley(_) | GroupSession::SparseMc(_) => SessionLayout::Sparse,
+            GroupSession::Shapley(_) => GroupMechanism::Shapley,
+            GroupSession::Mc(_) => GroupMechanism::MarginalCost,
         }
     }
 
@@ -175,8 +128,6 @@ impl GroupSession {
         match self {
             GroupSession::Shapley(s) => s.apply_batch(events),
             GroupSession::Mc(s) => s.apply_batch(events),
-            GroupSession::SparseShapley(s) => s.apply_batch(events),
-            GroupSession::SparseMc(s) => s.apply_batch(events),
         }
     }
 
@@ -186,8 +137,6 @@ impl GroupSession {
         match self {
             GroupSession::Shapley(s) => s.reported_profile(),
             GroupSession::Mc(s) => s.reported_profile(),
-            GroupSession::SparseShapley(s) => s.reported_profile(),
-            GroupSession::SparseMc(s) => s.reported_profile(),
         }
     }
 
@@ -197,8 +146,6 @@ impl GroupSession {
         match self {
             GroupSession::Shapley(s) => s.memory_bytes(),
             GroupSession::Mc(s) => s.memory_bytes(),
-            GroupSession::SparseShapley(s) => s.memory_bytes(),
-            GroupSession::SparseMc(s) => s.memory_bytes(),
         }
     }
 }
@@ -214,9 +161,10 @@ pub struct GroupOutcome {
 
 /// A sharded multi-group serving engine over one shared substrate.
 ///
-/// Cloning copies every group's warm per-group state (`O(G·n)`) but
-/// shares the substrate — the `service_throughput` bench clones a warmed
-/// service inside its timers to replay identical steady states.
+/// Cloning copies every group's warm per-group state
+/// (`O(Σ |frame_g|)`) but shares the substrate — the
+/// `service_throughput` bench clones a warmed service inside its timers
+/// to replay identical steady states.
 #[derive(Debug)]
 pub struct MulticastService {
     ut: UniversalTree,
@@ -225,8 +173,6 @@ pub struct MulticastService {
     /// work-stealing shard (each index is taken by exactly one worker per
     /// step), never contended.
     groups: Vec<Mutex<GroupSession>>,
-    /// Warm-state layout for newly added groups.
-    layout: SessionLayout,
     /// Worker threads per step; 0 = available parallelism.
     threads: usize,
     steps: usize,
@@ -248,7 +194,6 @@ impl Clone for MulticastService {
                     Mutex::new(group.lock().unwrap_or_else(PoisonError::into_inner).clone())
                 })
                 .collect(),
-            layout: self.layout,
             threads: self.threads,
             steps: self.steps,
             events: self.events,
@@ -258,15 +203,12 @@ impl Clone for MulticastService {
 
 impl MulticastService {
     /// An empty service over the shared substrate of `ut` (no groups
-    /// yet). The handle is cloned (`O(1)`), never the substrate. New
-    /// groups use the [`SessionLayout::Auto`] default — dense below
-    /// [`SPARSE_AUTO_THRESHOLD`] stations, sparse at and above it.
+    /// yet). The handle is cloned (`O(1)`), never the substrate.
     pub fn new(ut: &UniversalTree) -> Self {
         Self {
             ut: ut.clone(),
             mechanisms: Vec::new(),
             groups: Vec::new(),
-            layout: SessionLayout::Auto,
             threads: 0,
             steps: 0,
             events: 0,
@@ -280,20 +222,11 @@ impl MulticastService {
         self
     }
 
-    /// Pin the warm-state layout used by groups added **after** this
-    /// call (already-added groups keep theirs). Both layouts are
-    /// byte-identical in outcomes; see [`SessionLayout`].
-    pub fn with_layout(mut self, layout: SessionLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// Register a new group priced with `mechanism`; returns its group
-    /// id (dense, starting at 0). `O(n)` for the dense layout (the
-    /// session's universe-sized vectors), `O(1)` for the sparse one; the
-    /// substrate is shared, not copied.
+    /// id (dense, starting at 0). `O(1)`; the substrate is shared, not
+    /// copied.
     pub fn add_group(&mut self, mechanism: GroupMechanism) -> usize {
-        let state = GroupSession::with_layout(mechanism, &self.ut, self.layout);
+        let state = GroupSession::new(mechanism, &self.ut);
         self.mechanisms.push(mechanism);
         self.groups.push(Mutex::new(state));
         self.groups.len() - 1

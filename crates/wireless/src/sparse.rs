@@ -1,47 +1,49 @@
-//! Sparse warm-session engines: per-group memory `O(|T(R_g)|)`, not
-//! `O(n)`.
+//! The warm engines: per-group memory `O(|T(R_g)|)`, not `O(n)`.
 //!
-//! The dense engines of [`crate::incremental`] keep ~13 universe-sized
-//! arrays per session, so `G` warm groups over an `n = 10⁵` universe pay
-//! `G × O(n)` bytes — ~21 GB at `G = 4096` — even though each group only
-//! ever touches the path closure of its members (a few hundred stations).
-//! The engines here re-base the exact same state onto a per-group
-//! [`Subframe`] (see `DESIGN.md` §2f): every warm array is a `Vec` over
-//! *local* ids, joins splice new path suffixes incrementally, and the
-//! cost-ordered child lists / `O(path)` drop loop / `O(depth)` pre-suf
-//! VCG queries carry over unchanged in local coordinates.
+//! Both §2.1 mechanisms are served warm from here —
+//! [`SparseShapleySession`] (Moulin–Shenker over Shapley shares) and
+//! [`SparseMcSession`] (marginal cost / VCG). Their state lives on a
+//! per-group [`Subframe`] (see `DESIGN.md` §2f): every warm array is a
+//! `Vec` over *local* ids of the members' path closure, joins splice new
+//! path suffixes in incrementally, and the cost-ordered child lists, the
+//! `O(path)` drop loop and the `O(depth)` pre/suf VCG queries all run in
+//! local coordinates. `G` warm groups over an `n = 10⁵` universe pay
+//! `G × O(|closure|)` bytes, not `G × O(n)`.
 //!
 //! # Byte-identity contract
 //!
-//! Sparse is a *layout*, not an approximation. Every outcome a sparse
-//! session produces — receivers, every share float, the served cost —
-//! is **bit-for-bit equal** to its dense counterpart's, because
+//! Every outcome — receivers, every share float, the served cost — is
+//! **bit-for-bit equal** to the cold references of [`crate::incremental`]
+//! ([`shapley_drop_run_from`](crate::incremental::shapley_drop_run_from)
+//! for Shapley, [`vcg_outcome`](crate::session::vcg_outcome) over a fresh
+//! [`NetWorthOracle`](crate::incremental::NetWorthOracle) for MC), which
+//! index the whole universe, because
 //!
 //! * the frame's in-frame child lists preserve the substrate's global
-//!   cost order, so every local traversal replays the dense traversal
-//!   on the same floats in the same order;
+//!   cost order, so every local traversal replays the universe-indexed
+//!   traversal on the same floats in the same order;
 //! * stations outside the frame have no receivers and zero utility, so
-//!   their dense DP state is *exactly* `h = 0.0` (not approximately:
-//!   `own = 0`, every prefix value `≤ 0` loses to the initial `b = 0.0`),
-//!   and adding `0.0` to a non-negative accumulator is a bitwise no-op —
-//!   the dense pass over all `n` stations and the sparse pass over the
-//!   frame run the *same* float operations;
-//! * final outcomes come from the same folds as the dense engines: the
+//!   their universe-indexed DP state is *exactly* `h = 0.0` (not
+//!   approximately: `own = 0`, every prefix value `≤ 0` loses to the
+//!   initial `b = 0.0`), and adding `0.0` to a non-negative accumulator
+//!   is a bitwise no-op — the pass over all `n` stations and the pass
+//!   over the frame run the *same* float operations;
+//! * final outcomes come from the same folds as the references: the
 //!   charged shares are the fixpoint round's (the round in which nobody
 //!   dropped), whose top-down fold adds the same slices in the same
-//!   order as the [`UniversalTree::shapley_shares`] reference, and the
-//!   served cost sums the same per-station powers in the same ascending
-//!   station order as the `multicast_cost` reference. Neither reference
-//!   runs on a reprice; both stay the oracle the tests check against.
+//!   order as [`UniversalTree::shapley_shares`], and the served cost
+//!   sums the same per-station powers in the same ascending station
+//!   order as `multicast_cost`. Neither reference runs on a reprice;
+//!   both stay the oracle the tests check against.
 //!
-//! The contract is pinned by `tests/sparse_props.rs` across all five
-//! layout families × both mechanisms × churn traces, and gated at scale
-//! by experiment T15.
+//! The contract is pinned by `tests/sparse_props.rs` and
+//! `tests/session_props.rs` across all five layout families × both
+//! mechanisms × churn traces, and gated at table scale by experiments
+//! T11 and T15.
 //!
 //! Per-reprice outputs (the full-length share vector of a
-//! [`MechanismOutcome`]) remain `O(n)` *transient* — identical to the
-//! dense path; only the **warm** (retained) state shrinks, which is what
-//! the streaming SLO is bound on.
+//! [`MechanismOutcome`]) remain `O(n)` *transient*; only the **warm**
+//! (retained) state is frame-sized.
 
 use crate::session::ChurnEvent;
 use crate::substrate::{Subframe, TreeSubstrate};
@@ -52,16 +54,17 @@ use wmcs_geom::EPS;
 /// Local alias for the frame's "no local station" sentinel.
 const NO_LOCAL: u32 = Subframe::NONE;
 
-/// Frame-local twin of [`crate::incremental::IncrementalShapley`]: the
-/// same subtree receiver counts and cost-ordered active-children lists,
-/// indexed by [`Subframe`] local ids, so the warm footprint is
-/// `O(|frame|)` instead of `O(n)`.
+/// The frame-local Moulin–Shenker engine: the subtree receiver counts
+/// and cost-ordered active-children lists of
+/// [`crate::incremental::IncrementalShapley`], indexed by [`Subframe`]
+/// local ids, so the warm footprint is `O(|frame|)` instead of `O(n)`.
 ///
 /// Invariant (the byte-identity anchor): for every in-frame station the
-/// stored `rb`/link state equals what the dense engine stores at the
-/// corresponding global station, and out-of-frame stations would be
-/// all-zero densely (no receiver outside the closure — the frame
-/// contains every member's root path by construction).
+/// stored `rb`/link state equals what a universe-indexed engine built on
+/// the same receivers stores at the corresponding global station, and
+/// out-of-frame stations would be all-zero there (no receiver outside
+/// the closure — the frame contains every member's root path by
+/// construction).
 #[derive(Debug, Clone)]
 pub struct SparseShapley {
     ut: UniversalTree,
@@ -106,8 +109,8 @@ impl SparseShapley {
     }
 
     /// Grow the parallel arrays to the frame's current length (new
-    /// locals start inactive / unlinked — exactly the dense state of a
-    /// station with no receiver below it).
+    /// locals start inactive / unlinked — exactly the state of a station
+    /// with no receiver below it).
     fn sync_frame(&mut self) {
         let len = self.frame.len();
         if self.in_r.len() < len {
@@ -124,9 +127,10 @@ impl SparseShapley {
     /// Add receiver `station`, growing the frame by its out-of-frame
     /// root-path suffix if needed, and return the station's local id
     /// (stable for the session's lifetime — the frame is append-only).
-    /// `O(path)` amortised; the resulting state equals a dense
-    /// [`crate::incremental::IncrementalShapley::add_receiver`] because
-    /// the nearest active cost-order predecessor is always in frame.
+    /// `O(path)` amortised; the resulting state equals a fresh
+    /// [`crate::incremental::IncrementalShapley::new`] on the enlarged
+    /// set because the nearest active cost-order predecessor is always
+    /// in frame.
     pub fn add_receiver(&mut self, station: usize) -> u32 {
         let sub = self.ut.substrate().clone();
         assert!(
@@ -152,7 +156,8 @@ impl SparseShapley {
                 // after its nearest active cost-order predecessor. The
                 // frame's child list is the substrate's cost order
                 // restricted to the closure, and active stations are
-                // always in frame, so this is the dense splice verbatim.
+                // always in frame, so the splice point is the one a
+                // universe-indexed list would use.
                 let wpos = self.frame.pos_in_parent(w);
                 // The nearest active predecessor is the LAST in-frame
                 // sibling before w's cost position with rb > 0 — a
@@ -188,7 +193,7 @@ impl SparseShapley {
     }
 
     /// Drop the receiver at local id `v` (obtained from
-    /// [`SparseShapley::add_receiver`]): the dense
+    /// [`SparseShapley::add_receiver`]):
     /// [`crate::incremental::IncrementalShapley::drop_receiver`] in local
     /// coordinates. `O(depth)`.
     pub fn drop_receiver_local(&mut self, v: u32) {
@@ -217,7 +222,7 @@ impl SparseShapley {
         }
     }
 
-    /// One round of the paper's §2.1 split over the frame — the dense
+    /// One round of the paper's §2.1 split over the frame —
     /// [`crate::incremental::IncrementalShapley::round_shares_by_station`]
     /// pass replayed on local ids: same DFS order (the active-children
     /// lists preserve global cost order), same prefix-sum arithmetic,
@@ -256,8 +261,8 @@ impl SparseShapley {
         &self.shares
     }
 
-    /// `C_T(R)` of the current receiver set — the dense
-    /// [`crate::incremental::IncrementalShapley::served_cost`] walk over
+    /// `C_T(R)` of the current receiver set —
+    /// [`crate::incremental::IncrementalShapley::served_cost`]'s walk over
     /// the frame: each local station with an active child transmits at
     /// the cost of its last active child, and the powers are summed in
     /// ascending **global** station id, bitwise equal to
@@ -306,7 +311,7 @@ impl SparseShapley {
 
     /// Heap bytes of the warm per-group state: the frame plus every
     /// local-id array. This is the figure that must scale with
-    /// `|T(R_g)|`, not `n` (ISSUE 10's acceptance gate).
+    /// `|T(R_g)|`, not `n`.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.frame.memory_bytes()
@@ -335,19 +340,20 @@ impl SparseShapley {
     }
 }
 
-/// Frame-local twin of [`NetWorthOracle`](crate::incremental::NetWorthOracle): the largest-efficient-set DP
-/// with `O(depth)` zeroing queries, holding state only for the grow-only
-/// path closure of every station that ever carried a bid.
+/// The frame-local net-worth oracle: the largest-efficient-set DP of
+/// [`NetWorthOracle`](crate::incremental::NetWorthOracle) with `O(depth)`
+/// zeroing queries, holding state only for the grow-only path closure of
+/// every station that ever carried a bid.
 ///
 /// Out-of-frame stations carry zero utility and have no in-frame
-/// descendants (the closure is path-closed), so their dense DP state is
-/// *exactly* `h = best = 0.0` with `choice` = their leading run of
-/// zero-cost children — reproducible on the fly without storing
+/// descendants (the closure is path-closed), so their universe-indexed
+/// DP state is *exactly* `h = best = 0.0` with `choice` = their leading
+/// run of zero-cost children — reproducible on the fly without storing
 /// anything. The per-station kernel scans **all** global children of an
 /// in-frame station (out-of-frame ones contribute an exact `+0.0`), so
-/// every stored float is bitwise equal to the dense oracle's.
+/// every stored float is bitwise equal to the cold oracle's.
 ///
-/// Unlike the dense flat per-edge `pre`/`suf` arrays, the sparse oracle
+/// Unlike the cold oracle's flat per-edge `pre`/`suf` arrays, this oracle
 /// stores each station's prefix/suffix maxima **only at the station's
 /// own edge** (one `f64` pair per local id): the zeroing walk only ever
 /// reads the entries along a root path, and an entry is read only after
@@ -400,8 +406,8 @@ impl SparseNetWorth {
     }
 
     /// Grow the parallel arrays to the frame's current length and return
-    /// the previous length (new locals start with the exact dense state
-    /// of an all-zero subtree, pending their kernel run).
+    /// the previous length (new locals start with the exact state of an
+    /// all-zero subtree, pending their kernel run).
     fn sync_frame(&mut self) -> usize {
         let old = self.u.len();
         let len = self.frame.len();
@@ -416,12 +422,13 @@ impl SparseNetWorth {
         old
     }
 
-    /// The dense [`NetWorthOracle`](crate::incremental::NetWorthOracle) per-station kernel in local
-    /// coordinates: recompute `h`/`best`/`choice` at local `v` and write
-    /// the `pre`/`suf` entries of `v`'s **in-frame** children. Scans all
-    /// global children of `v` — out-of-frame ones contribute their exact
-    /// dense value `h = 0.0`, so the float stream is identical to the
-    /// dense kernel's. `O(global degree of v)`.
+    /// The [`NetWorthOracle`](crate::incremental::NetWorthOracle)
+    /// per-station kernel in local coordinates: recompute
+    /// `h`/`best`/`choice` at local `v` and write the `pre`/`suf` entries
+    /// of `v`'s **in-frame** children. Scans all global children of `v` —
+    /// out-of-frame ones contribute their exact value `h = 0.0`, so the
+    /// float stream is identical to the cold kernel's. `O(global degree
+    /// of v)`.
     fn recompute_local(&mut self, sub: &TreeSubstrate, v: u32) {
         let vg = self.frame.global_of(v);
         let kids_g = sub.sorted_children(vg);
@@ -472,7 +479,7 @@ impl SparseNetWorth {
             run = run.max(val);
         }
         // suf[c] = max(val_{pos(c)} … val_{k−1}), folded right to left
-        // with the dense operand order (raw value first).
+        // with the cold kernel's operand order (raw value first).
         let mut cur = f64::NEG_INFINITY;
         let mut fi = nf;
         for (j, &val) in scratch.iter().enumerate().rev() {
@@ -497,26 +504,32 @@ impl SparseNetWorth {
         self.fkids = fkids;
     }
 
-    /// Replace `station`'s utility and repair the DP along its root path
-    /// — the dense [`NetWorthOracle::set_utility`](crate::incremental::NetWorthOracle::set_utility) with frame growth: an
-    /// unseen station first splices its path suffix in and initialises
-    /// the new locals bottom-up with the kernel (their subtrees are
-    /// all-zero, so no ancestor changes until the utility lands).
-    pub fn set_utility(&mut self, station: usize, utility: f64) {
-        let sub = self.ut.substrate().clone();
+    /// Bring `station` into the frame and return its local id: an unseen
+    /// station first splices its path suffix in and initialises the new
+    /// locals bottom-up with the kernel (their subtrees are all-zero, so
+    /// no ancestor changes until a utility lands).
+    fn ensure_local(&mut self, sub: &TreeSubstrate, station: usize) -> u32 {
         assert!(
             station != sub.network().source(),
             "the source has no utility"
         );
-        let v = self.frame.ensure(&sub, station);
+        let v = self.frame.ensure(sub, station);
         let old_len = self.sync_frame();
         if self.frame.len() > old_len {
             // New locals were appended top-down; run the kernel deepest
             // first so each parent sees its (all-zero) child's exact h.
             for l in (old_len..self.frame.len()).rev() {
-                self.recompute_local(&sub, u32::try_from(l).expect("frame ids fit u32"));
+                self.recompute_local(sub, u32::try_from(l).expect("frame ids fit u32"));
             }
         }
+        v
+    }
+
+    /// Replace the utility at local `v` and repair the DP along its root
+    /// path, stopping at the first ancestor whose `h` is unchanged — the
+    /// cold [`NetWorthOracle`](crate::incremental::NetWorthOracle) DP's
+    /// every stored float, kept warm.
+    fn set_utility_local(&mut self, sub: &TreeSubstrate, v: u32, utility: f64) {
         let vi = v as usize;
         self.u[vi] = utility;
         // v's own prefix state depends only on its children, which are
@@ -531,7 +544,7 @@ impl SparseNetWorth {
             let p = self.frame.parent_local(w);
             debug_assert!(p != NO_LOCAL, "non-root local has a parent");
             let before = self.h[p as usize];
-            self.recompute_local(&sub, p);
+            self.recompute_local(sub, p);
             if self.h[p as usize] == before {
                 return;
             }
@@ -539,13 +552,34 @@ impl SparseNetWorth {
         }
     }
 
-    /// `station`'s current utility (zero for stations that never carried
-    /// a bid — exactly the dense oracle's stored value for them).
-    pub fn utility(&self, station: usize) -> f64 {
-        match self.frame.local_of(station) {
-            Some(l) => self.u[l as usize],
-            None => 0.0,
+    /// Replace `station`'s utility and repair the DP along its root path,
+    /// growing the frame first if the station is unseen.
+    pub fn set_utility(&mut self, station: usize, utility: f64) {
+        let sub = self.ut.substrate().clone();
+        let v = self.ensure_local(&sub, station);
+        self.set_utility_local(&sub, v, utility);
+    }
+
+    /// Local id of `station`, or [`Subframe::NONE`] when it is out of
+    /// frame.
+    fn local_or_none(&self, station: usize) -> u32 {
+        self.frame.local_of(station).unwrap_or(NO_LOCAL)
+    }
+
+    /// The utility at local `v` (zero out of frame — a station that never
+    /// carried a bid).
+    fn utility_local(&self, v: u32) -> f64 {
+        if v == NO_LOCAL {
+            0.0
+        } else {
+            self.u[v as usize]
         }
+    }
+
+    /// `station`'s current utility (zero for stations that never carried
+    /// a bid — exactly the cold oracle's value for them).
+    pub fn utility(&self, station: usize) -> f64 {
+        self.utility_local(self.local_or_none(station))
     }
 
     /// Maximal net worth `NW(u)`.
@@ -560,55 +594,75 @@ impl SparseNetWorth {
     }
 
     /// The largest welfare-maximising station set, its net worth and its
-    /// cost — the dense
+    /// cost — the cold
     /// [`NetWorthOracle::efficient_set_with_cost`](crate::incremental::NetWorthOracle::efficient_set_with_cost)
-    /// walk, with the chosen prefix of an out-of-frame station reproduced
-    /// on the fly (its leading run of zero-cost children: every
-    /// `val_j = −c_j`, and only `c_j = 0` survives the exact `val ≥ 0.0`
-    /// tie-break). Such a station transmits at cost `0.0`, an exact no-op
-    /// in the ascending-station sum.
+    /// walk, bitwise.
     pub fn efficient_set_with_cost(&self) -> (Vec<usize>, f64, f64) {
+        let (reached, cost) = self.selection();
+        let set = reached.into_iter().map(|(x, _)| x).collect();
+        (set, self.net_worth(), cost)
+    }
+
+    /// The selection walk behind [`SparseNetWorth::efficient_set_with_cost`]:
+    /// every reached station as `(global, local)`, ascending by global
+    /// id, and the set's cost.
+    ///
+    /// Each stack entry carries its local id, so no station is looked up.
+    /// A station's children are its global cost-sorted slice merge-walked
+    /// against the frame's position-sorted in-frame children (the way
+    /// [`SparseNetWorth::recompute_local`] scans them); a child the frame
+    /// lacks carries [`Subframe::NONE`], and so do all its descendants
+    /// (the frame is path-closed). An out-of-frame station's chosen
+    /// prefix is reproduced on the fly: its leading run of zero-cost
+    /// children (every `val_j = −c_j`, and only `c_j = 0` survives the
+    /// exact `val ≥ 0.0` tie-break). It transmits at cost `0.0`, an exact
+    /// no-op in the ascending-station sum.
+    fn selection(&self) -> (Vec<(usize, u32)>, f64) {
         let sub = self.ut.substrate();
-        let s = sub.network().source();
         let mut reached = Vec::new();
         let mut powers = Vec::new();
-        let mut stack = vec![s];
-        while let Some(x) = stack.pop() {
-            if x != s {
-                reached.push(x);
+        let mut stack = vec![(sub.network().source(), Subframe::ROOT)];
+        while let Some((x, l)) = stack.pop() {
+            if l != Subframe::ROOT {
+                reached.push((x, l));
             }
             let kids = sub.sorted_children(x);
-            let take = match self.frame.local_of(x) {
-                Some(l) => self.choice[l as usize] as usize,
-                None => kids
+            let (take, mut framed) = if l == NO_LOCAL {
+                let zero_run = kids
                     .iter()
                     .take_while(|&&y| sub.parent_cost(y.index()) == 0.0)
-                    .count(),
+                    .count();
+                (zero_run, None)
+            } else {
+                let take = self.choice[l as usize] as usize;
+                (take, Some(self.frame.children(l).peekable()))
             };
             let mut last = None;
-            for &y in kids.iter().take(take) {
-                stack.push(y.index());
+            for (j, &y) in kids.iter().enumerate().take(take) {
+                let ly = framed
+                    .as_mut()
+                    .and_then(|it| it.next_if(|&c| self.frame.pos_in_parent(c) as usize == j))
+                    .unwrap_or(NO_LOCAL);
+                stack.push((y.index(), ly));
                 last = Some(y);
             }
             if let Some(y) = last {
                 powers.push((x, sub.parent_cost(y.index())));
             }
         }
-        reached.sort_unstable();
-        (reached, self.net_worth(), served_cost_of(powers))
+        reached.sort_unstable_by_key(|&(x, _)| x);
+        (reached, served_cost_of(powers))
     }
 
-    /// `NW(u_{−x})` in `O(depth of x)` — the dense
-    /// [`NetWorthOracle::net_worth_zeroing`](crate::incremental::NetWorthOracle::net_worth_zeroing) walk over the frame. An
-    /// out-of-frame station carries zero utility already, so zeroing it
-    /// changes nothing (the dense walk exits on its first step).
-    pub fn net_worth_zeroing(&self, station: usize) -> f64 {
-        let sub = self.ut.substrate();
-        let s = sub.network().source();
-        assert!(station != s, "the source has no utility to zero");
-        let Some(v) = self.frame.local_of(station) else {
+    /// `NW(u_{−v})` for local `v` in `O(depth)` — the cold
+    /// [`NetWorthOracle::net_worth_zeroing`](crate::incremental::NetWorthOracle::net_worth_zeroing)
+    /// walk over the frame. An out-of-frame station carries zero utility
+    /// already, so zeroing it changes nothing (the cold walk exits on its
+    /// first step).
+    fn net_worth_zeroing_local(&self, v: u32) -> f64 {
+        if v == NO_LOCAL {
             return self.net_worth();
-        };
+        }
         let mut w = v;
         let mut hv = self.best[v as usize];
         while w != Subframe::ROOT {
@@ -630,6 +684,15 @@ impl SparseNetWorth {
             w = p;
         }
         hv
+    }
+
+    /// `NW(u_{−x})` in `O(depth of x)`.
+    pub fn net_worth_zeroing(&self, station: usize) -> f64 {
+        assert!(
+            station != self.ut.network().source(),
+            "the source has no utility to zero"
+        );
+        self.net_worth_zeroing_local(self.local_or_none(station))
     }
 
     /// Closure size (local stations, including the source).
@@ -676,10 +739,12 @@ struct Member {
     bid: f64,
 }
 
-/// The sparse-layout twin of [`crate::session::ShapleySession`]: same
-/// event semantics, same outcomes bit for bit, but the warm state is the
-/// frame-local [`SparseShapley`] engine plus one small member list —
-/// no universe-sized array survives between reprices.
+/// The live Moulin–Shenker (Shapley) session: the warm frame-local
+/// [`SparseShapley`] engine plus one small member list — no
+/// universe-sized array survives between reprices. See [`crate::session`]
+/// for the event semantics; every outcome is byte-identical to
+/// [`shapley_drop_run_from`](crate::incremental::shapley_drop_run_from)
+/// on the session's current members and bids.
 #[derive(Debug, Clone)]
 pub struct SparseShapleySession {
     ut: UniversalTree,
@@ -693,8 +758,7 @@ pub struct SparseShapleySession {
 }
 
 impl SparseShapleySession {
-    /// An empty session over `ut`. `O(1)` — compare the dense session's
-    /// `O(n)` construction.
+    /// An empty session over `ut`. `O(1)`: no universe-sized allocation.
     pub fn new(ut: &UniversalTree) -> Self {
         Self {
             ut: ut.clone(),
@@ -711,9 +775,10 @@ impl SparseShapleySession {
         &self.ut
     }
 
-    /// Absorb events without repricing — the dense
-    /// [`crate::session::ShapleySession::apply_events`] total semantics
-    /// on the sparse member list.
+    /// Absorb events (total semantics, see [`crate::session`]) without
+    /// repricing, in `O(path)` per event. Call
+    /// [`SparseShapleySession::reprice`] afterwards — or use
+    /// [`SparseShapleySession::apply_batch`] for both at once.
     pub fn apply_events(&mut self, events: &[ChurnEvent]) {
         for ev in events {
             self.events += 1;
@@ -757,7 +822,8 @@ impl SparseShapleySession {
     /// the frame-local replica of `wmcs_game::run_drop_loop_from`: same
     /// round structure, same ascending drop order, same EPS test, the
     /// fixpoint round's shares charged and the served cost walked over
-    /// `T(R)`, so the outcome is byte-identical to the dense session's
+    /// `T(R)`, so the outcome is byte-identical to
+    /// [`shapley_drop_run_from`](crate::incremental::shapley_drop_run_from)
     /// at `O(rounds · |T(R)|)` plus the outcome's share vector. Evicted
     /// members leave the session (they must `Join` again).
     pub fn reprice(&mut self) -> MechanismOutcome {
@@ -786,7 +852,7 @@ impl SparseShapleySession {
             }
             if !dropped_any {
                 // Charge the fixpoint round's shares — the shares the
-                // dense driver charges, and the reference's fold.
+                // cold driver charges, and the reference's fold.
                 let mut shares = vec![0.0; n];
                 let mut receivers = Vec::new();
                 let served = self.members.iter().zip(&self.scratch).zip(&active);
@@ -831,8 +897,8 @@ impl SparseShapleySession {
     }
 
     /// The full-length bid profile the next reprice would use (zero for
-    /// players outside the session) — `O(n)` transient, for parity
-    /// checks against the dense session.
+    /// players outside the session) — `O(n)` transient; what a cold
+    /// rebuild on the current members consumes as its reported profile.
     pub fn reported_profile(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.ut.network().n_players()];
         for m in &self.members {
@@ -868,15 +934,30 @@ impl SparseShapleySession {
     }
 }
 
-/// The sparse-layout twin of [`crate::session::McSession`]: the VCG
-/// mechanism over a warm [`SparseNetWorth`], byte-identical outcomes,
-/// `O(|frame|)` warm bytes.
+/// One bidder of a [`SparseMcSession`].
+#[derive(Debug, Clone, Copy)]
+struct Bidder {
+    /// Player id (fits `u32`: players are a subset of stations).
+    player: u32,
+    /// The bidder's station as a frame-local id (stable: append-only).
+    local: u32,
+}
+
+/// The live marginal-cost (VCG) session: the mechanism over a warm
+/// [`SparseNetWorth`], `O(|frame|)` warm bytes.
+///
+/// Each event repairs the DP along one root path; each reprice runs the
+/// selection walk and one `O(depth)` externality query per receiver, all
+/// on local ids. The outcome is byte-identical to
+/// [`vcg_outcome`](crate::session::vcg_outcome) over a cold
+/// [`NetWorthOracle`](crate::incremental::NetWorthOracle) built on the
+/// same utilities.
 #[derive(Debug, Clone)]
 pub struct SparseMcSession {
     ut: UniversalTree,
     oracle: SparseNetWorth,
-    /// Players with a live bid, ascending.
-    members: Vec<u32>,
+    /// Players with a live bid, ascending by player.
+    members: Vec<Bidder>,
     batches: usize,
     events: usize,
 }
@@ -898,56 +979,65 @@ impl SparseMcSession {
         &self.ut
     }
 
-    /// Absorb events — the dense
-    /// [`crate::session::McSession::apply_events`] total semantics.
+    /// Absorb events (total semantics, see [`crate::session`]): a
+    /// `Join`/`Rebid` installs the bid, a `Leave` zeroes it. Only a
+    /// newcomer's `Join` looks its station up; every other event reaches
+    /// the oracle through the member's local id.
     pub fn apply_events(&mut self, events: &[ChurnEvent]) {
+        let sub = self.ut.substrate();
         for ev in events {
             self.events += 1;
             match *ev {
                 ChurnEvent::Join { player, utility } => {
                     let p = u32::try_from(player).expect("player ids fit u32");
-                    if let Err(i) = self.members.binary_search(&p) {
-                        self.members.insert(i, p);
-                    }
-                    let station = self.ut.network().station_of_player(player);
-                    self.oracle.set_utility(station, utility);
+                    let local = match self.members.binary_search_by_key(&p, |m| m.player) {
+                        Ok(i) => self.members[i].local,
+                        Err(i) => {
+                            let station = sub.network().station_of_player(player);
+                            let local = self.oracle.ensure_local(sub, station);
+                            self.members.insert(i, Bidder { player: p, local });
+                            local
+                        }
+                    };
+                    self.oracle.set_utility_local(sub, local, utility);
                 }
                 ChurnEvent::Leave { player } => {
                     let p = u32::try_from(player).expect("player ids fit u32");
-                    if let Ok(i) = self.members.binary_search(&p) {
-                        self.members.remove(i);
-                        let station = self.ut.network().station_of_player(player);
-                        self.oracle.set_utility(station, 0.0);
+                    if let Ok(i) = self.members.binary_search_by_key(&p, |m| m.player) {
+                        let m = self.members.remove(i);
+                        self.oracle.set_utility_local(sub, m.local, 0.0);
                     }
                 }
                 ChurnEvent::Rebid { player, utility } => {
                     let p = u32::try_from(player).expect("player ids fit u32");
-                    if self.members.binary_search(&p).is_ok() {
-                        let station = self.ut.network().station_of_player(player);
-                        self.oracle.set_utility(station, utility);
+                    if let Ok(i) = self.members.binary_search_by_key(&p, |m| m.player) {
+                        let local = self.members[i].local;
+                        self.oracle.set_utility_local(sub, local, utility);
                     }
                 }
             }
         }
     }
 
-    /// Recompute the VCG outcome from the warm sparse oracle —
-    /// byte-identical to [`vcg_outcome`](crate::session::vcg_outcome) over a dense [`NetWorthOracle`](crate::incremental::NetWorthOracle)
-    /// holding the same utilities (same selection-and-cost walk, same
-    /// `O(depth)` externality queries).
+    /// Recompute the VCG outcome from the warm oracle: serve the largest
+    /// efficient set, charge every receiver its externality. The
+    /// selection walk hands each receiver's local id to the share
+    /// kernels, so no station is looked up. Zero-bid stations that ride
+    /// a served path for free are served and charged `0.0`, exactly as
+    /// the one-shot mechanism does.
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
         let net = self.ut.network();
-        let (stations, nw, served_cost) = self.oracle.efficient_set_with_cost();
+        let (reached, served_cost) = self.oracle.selection();
+        let nw = self.oracle.net_worth();
         let mut shares = vec![0.0; net.n_players()];
-        let receivers: Vec<usize> = stations
-            .iter()
-            .filter_map(|&x| net.player_of_station(x))
-            .collect();
-        for &p in &receivers {
-            let x = net.station_of_player(p);
-            let nw_minus = self.oracle.net_worth_zeroing(x);
-            shares[p] = (self.oracle.utility(x) - (nw - nw_minus)).max(0.0);
+        let mut receivers = Vec::new();
+        for &(x, l) in &reached {
+            if let Some(p) = net.player_of_station(x) {
+                receivers.push(p);
+                let nw_minus = self.oracle.net_worth_zeroing_local(l);
+                shares[p] = (self.oracle.utility_local(l) - (nw - nw_minus)).max(0.0);
+            }
         }
         // The batch boundary is where warm state rests: return the
         // doubling-growth slack so the retained bytes are the exact
@@ -969,31 +1059,30 @@ impl SparseMcSession {
 
     /// Players with a live bid, ascending.
     pub fn active_players(&self) -> Vec<usize> {
-        self.members.iter().map(|&p| p as usize).collect()
+        self.members.iter().map(|m| m.player as usize).collect()
     }
 
-    /// The full-length bid profile the next reprice uses — `O(n)`
-    /// transient, for parity checks against the dense session.
+    /// The full-length bid profile the next reprice uses (zero outside
+    /// the session) — `O(n)` transient.
     pub fn reported_profile(&self) -> Vec<f64> {
-        let net = self.ut.network();
-        (0..net.n_players())
-            .map(|p| self.oracle.utility(net.station_of_player(p)))
-            .collect()
+        let mut out = vec![0.0; self.ut.network().n_players()];
+        for m in &self.members {
+            out[m.player as usize] = self.oracle.utility_local(m.local);
+        }
+        out
     }
 
-    /// The station-indexed utility vector a cold dense rebuild would
-    /// consume — `O(n)` transient, for the byte-identity proptests.
+    /// The station-indexed utility vector a cold
+    /// [`NetWorthOracle::new`](crate::incremental::NetWorthOracle::new)
+    /// rebuild would consume (relay stations and the source carry 0) —
+    /// `O(n)` transient, for the byte-identity gates.
     pub fn station_utilities(&self) -> Vec<f64> {
-        let n = self.ut.network().n_stations();
-        (0..n)
-            .map(|x| {
-                if x == self.ut.network().source() {
-                    0.0
-                } else {
-                    self.oracle.utility(x)
-                }
-            })
-            .collect()
+        let net = self.ut.network();
+        let mut out = vec![0.0; net.n_stations()];
+        for m in &self.members {
+            out[net.station_of_player(m.player as usize)] = self.oracle.utility_local(m.local);
+        }
+        out
     }
 
     /// Batches repriced so far.
@@ -1009,7 +1098,7 @@ impl SparseMcSession {
     /// Warm heap bytes retained between reprices.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.oracle.memory_bytes() + self.members.capacity() * size_of::<u32>()
+        self.oracle.memory_bytes() + self.members.capacity() * size_of::<Bidder>()
     }
 
     /// Stations in the warm frame (the path closure of every station
@@ -1023,68 +1112,11 @@ impl SparseMcSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
     use crate::incremental::shapley_drop_run_from;
-    use crate::network::WirelessNetwork;
-    use crate::session::{ChurnProcess, McSession, ShapleySession};
+    use crate::random_tree;
+    use crate::service::GroupMechanism;
+    use crate::session::{ChurnProcess, ColdSession};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{Point, PowerModel};
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        if seed.is_multiple_of(2) {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Spt)
-                .build_universal()
-        } else {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Mst)
-                .build_universal()
-        }
-    }
-
-    #[test]
-    fn sparse_shapley_session_is_byte_identical_to_dense() {
-        for seed in 0..10 {
-            let ut = random_tree(seed, 14);
-            let process = ChurnProcess::new(ut.network().n_players(), 12, 3, 20.0, seed ^ 0x5a);
-            let mut dense = ShapleySession::new(&ut);
-            let mut sparse = SparseShapleySession::new(&ut);
-            for batch in &process.generate().batches {
-                let d = dense.apply_batch(batch);
-                let s = sparse.apply_batch(batch);
-                assert_eq!(d.receivers, s.receivers, "seed {seed}");
-                assert_eq!(d.shares, s.shares, "seed {seed}");
-                assert_eq!(d.served_cost, s.served_cost, "seed {seed}");
-                assert_eq!(dense.active_players(), sparse.active_players());
-                assert_eq!(dense.reported_profile(), sparse.reported_profile());
-            }
-            // The warm footprint stays bounded by the closure, which is
-            // at most the universe (and in churny traces usually less).
-            assert!(sparse.memory_bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn sparse_mc_session_is_byte_identical_to_dense() {
-        for seed in 0..10 {
-            let ut = random_tree(seed, 14);
-            let process = ChurnProcess::new(ut.network().n_players(), 10, 4, 15.0, seed ^ 0x3c);
-            let mut dense = McSession::new(&ut);
-            let mut sparse = SparseMcSession::new(&ut);
-            for batch in &process.generate().batches {
-                let d = dense.apply_batch(batch);
-                let s = sparse.apply_batch(batch);
-                assert_eq!(d.receivers, s.receivers, "seed {seed}");
-                assert_eq!(d.shares, s.shares, "seed {seed}");
-                assert_eq!(d.served_cost, s.served_cost, "seed {seed}");
-            }
-        }
-    }
 
     #[test]
     fn sparse_reprice_matches_cold_reference_on_the_member_set() {
@@ -1146,25 +1178,26 @@ mod tests {
 
     #[test]
     fn sparse_memory_tracks_the_closure_not_the_universe() {
-        // One small group in a larger universe: the sparse footprint
-        // must be far below the dense per-session footprint.
+        // One small group in a larger universe: the warm footprint must
+        // be far below what a universe-indexed engine keeps for it.
         let ut = random_tree(2, 400);
         let mut sparse = SparseShapleySession::new(&ut);
-        let mut dense = ShapleySession::new(&ut);
         let batch: Vec<ChurnEvent> = (1..5)
             .map(|p| ChurnEvent::Join {
                 player: p,
                 utility: 1e6,
             })
             .collect();
-        let d = dense.apply_batch(&batch);
-        let s = sparse.apply_batch(&batch);
-        assert_eq!(d.shares, s.shares);
+        let cold = ColdSession::new(GroupMechanism::Shapley, &ut).price_batch(&batch);
+        assert_eq!(sparse.apply_batch(&batch), cold);
+        // A universe-indexed engine keeps eight n-length arrays per
+        // group; the frame session stays below even one f64 per station.
+        let universe = ut.network().n_stations() * std::mem::size_of::<f64>();
         assert!(
-            sparse.memory_bytes() * 4 < dense.memory_bytes(),
-            "sparse {} vs dense {}",
+            sparse.memory_bytes() < universe,
+            "sparse {} vs one f64 per station {}",
             sparse.memory_bytes(),
-            dense.memory_bytes()
+            universe
         );
         assert!(sparse.engine.frame_len() < 50);
     }

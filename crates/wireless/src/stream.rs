@@ -56,7 +56,7 @@
 //! submission tick) — the exact-percentile harness in
 //! `wmcs-bench::latency` consumes these via [`StreamLatencies`].
 
-use crate::service::{GroupMechanism, GroupSession, MulticastService, SessionLayout};
+use crate::service::{GroupMechanism, GroupSession, MulticastService};
 use crate::universal::UniversalTree;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,10 +77,6 @@ pub struct StreamConfig {
     /// Worker threads servicing sealed epochs (≥ 1). Outcomes are
     /// byte-identical for every value — see the module docs.
     pub threads: usize,
-    /// Warm-state layout for group sessions ([`SessionLayout::Auto`] by
-    /// default). Outcomes are byte-identical for every value — only
-    /// memory and per-event cost differ.
-    pub layout: SessionLayout,
 }
 
 impl StreamConfig {
@@ -99,7 +95,6 @@ impl StreamConfig {
             watermark,
             capacity,
             threads,
-            layout: SessionLayout::Auto,
         }
     }
 
@@ -108,13 +103,6 @@ impl StreamConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "the epoch pool needs at least one worker");
         self.threads = threads;
-        self
-    }
-
-    /// The same config with a pinned warm-state layout — the knob the
-    /// sparse≡dense identity proptests sweep.
-    pub fn with_layout(mut self, layout: SessionLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -423,11 +411,7 @@ impl StreamService {
         self.groups.push(GroupSlot {
             queue: Mutex::new(GroupQueue::default()),
             idle: Condvar::new(),
-            session: Mutex::new(GroupSession::with_layout(
-                mechanism,
-                &self.ut,
-                self.config.layout,
-            )),
+            session: Mutex::new(GroupSession::new(mechanism, &self.ut)),
             mechanism,
         });
         self.groups.len() - 1
@@ -774,9 +758,7 @@ pub fn replay_reference(
     events: &[ChurnEvent],
     config: &StreamConfig,
 ) -> Vec<MechanismOutcome> {
-    let mut svc = MulticastService::new(ut)
-        .with_threads(1)
-        .with_layout(config.layout);
+    let mut svc = MulticastService::new(ut).with_threads(1);
     for &m in mechanisms {
         svc.add_group(m);
     }

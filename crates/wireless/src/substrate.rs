@@ -337,8 +337,8 @@ impl TreeSubstrate {
 ///   from the substrate, and the **in-frame children in ascending global
 ///   cost order** — the restriction of the substrate's cost-sorted child
 ///   slice to the closure, which is what keeps every local traversal
-///   order-identical to its dense counterpart (the byte-identity
-///   argument in DESIGN.md §2f).
+///   order-identical to the universe-indexed traversal (the
+///   byte-identity argument in DESIGN.md §2f).
 ///
 /// Building the closure of a member set costs `O(Σ path · log |frame|)`
 /// (the `log` is the global→local [`BTreeMap`]; no `HashMap`, per the

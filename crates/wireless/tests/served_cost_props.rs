@@ -3,24 +3,26 @@
 //! [`UniversalTree::multicast_cost`] reference **bit for bit**
 //! (`to_bits`, so `-0.0` against `+0.0` fails too):
 //!
-//! * [`IncrementalShapley::served_cost`] and [`SparseShapley::served_cost`]
-//!   on the active receiver set, across join/leave walks;
+//! * [`SparseShapley::served_cost`] across join/leave walks, and
+//!   [`IncrementalShapley::served_cost`] rebuilt on every visited set;
 //! * the cost from [`NetWorthOracle::efficient_set_with_cost`] and
 //!   [`SparseNetWorth::efficient_set_with_cost`] on the efficient set.
 //!
 //! Every layout family is drawn, plus hand-built trees for the edge
 //! cases: the empty set, zero-cost edges, and out-of-frame stations whose
-//! leading zero-cost children join the efficient set. A scale gate checks
-//! that a populated sparse Shapley session at n = 10⁴ charges exactly
-//! `shapley_shares` on its served set.
+//! leading zero-cost children join the efficient set — there, the
+//! [`SparseMcSession`] outcome is also pinned to the cold [`vcg_outcome`].
+//! A scale gate checks that a populated sparse Shapley session at
+//! n = 10⁴ charges exactly `shapley_shares` on its served set.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use wmcs_geom::{LayoutFamily, Point, PowerModel, Scenario};
 use wmcs_graph::{CostMatrix, RootedTree};
 use wmcs_wireless::{
-    Backend, ChurnEvent, IncrementalShapley, NetWorthOracle, SparseNetWorth, SparseShapley,
-    SparseShapleySession, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
+    vcg_outcome, Backend, ChurnEvent, IncrementalShapley, NetWorthOracle, SparseMcSession,
+    SparseNetWorth, SparseShapley, SparseShapleySession, SubstrateBuilder, TreeKind, UniversalTree,
+    WirelessNetwork,
 };
 
 fn scenario_tree(
@@ -52,14 +54,14 @@ fn explicit_tree(n: usize, edges: &[(usize, usize, f64)]) -> UniversalTree {
 /// Both Shapley engines' served cost against the reference on `set`.
 fn check_shapley(
     ut: &UniversalTree,
-    dense: &IncrementalShapley,
+    cold: &IncrementalShapley,
     sparse: &SparseShapley,
     set: &[usize],
 ) {
-    assert_eq!(dense.active_stations(), set.to_vec());
+    assert_eq!(cold.active_stations(), set.to_vec());
     assert_eq!(sparse.active_stations(), set.to_vec());
     let want = ut.multicast_cost(set).to_bits();
-    assert_eq!(dense.served_cost().to_bits(), want, "dense, R = {:?}", set);
+    assert_eq!(cold.served_cost().to_bits(), want, "cold, R = {:?}", set);
     assert_eq!(
         sparse.served_cost().to_bits(),
         want,
@@ -84,8 +86,9 @@ fn check_mc(ut: &UniversalTree, dense: &NetWorthOracle, sparse: &SparseNetWorth)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// A random join/leave walk over every family: after every step both
-    /// Shapley engines' served cost is the reference's, bit for bit.
+    /// A random join/leave walk over every family: after every step the
+    /// warm frame engine's served cost, and a cold engine's rebuilt on
+    /// the current set, are the reference's, bit for bit.
     #[test]
     fn shapley_served_cost_walks_equal_the_reference(
         seed in 0u64..10_000,
@@ -96,27 +99,24 @@ proptest! {
     ) {
         let family = LayoutFamily::ALL[family_ix];
         let ut = scenario_tree(family, n, [2.0, 4.0][alpha_ix], seed, tree_ix == 1);
-        let mut dense = IncrementalShapley::new(&ut, &[]);
         let mut sparse = SparseShapley::new(&ut);
         let mut local = vec![None; n];
         let mut set: Vec<usize> = Vec::new();
-        check_shapley(&ut, &dense, &sparse, &set);
+        check_shapley(&ut, &IncrementalShapley::new(&ut, &set), &sparse, &set);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e7);
         for _ in 0..2 * n {
             let x = rng.gen_range(1..n);
             match set.binary_search(&x) {
                 Ok(i) => {
                     set.remove(i);
-                    dense.drop_receiver(x);
                     sparse.drop_receiver_local(local[x].expect("joined stations have a local id"));
                 }
                 Err(i) => {
                     set.insert(i, x);
-                    dense.add_receiver(x);
                     local[x] = Some(sparse.add_receiver(x));
                 }
             }
-            check_shapley(&ut, &dense, &sparse, &set);
+            check_shapley(&ut, &IncrementalShapley::new(&ut, &set), &sparse, &set);
         }
     }
 
@@ -197,7 +197,11 @@ fn zero_cost_edges_keep_the_reference_bits() {
 /// bids, so it is out of the sparse oracle's frame, but its zero-cost
 /// edge from the source joins it to the efficient set, and its leading
 /// zero-cost children 3 and 4 follow it (5, behind a costly edge, does
-/// not). The set's cost is the source's power alone.
+/// not). The set's cost is the source's power alone. Through the warm
+/// MC session the local-id selection walk reaches 1, 3 and 4 with no
+/// local id; its reprice equals the cold `vcg_outcome` in receivers,
+/// every share bit and the served cost, and serves those riders at
+/// exactly `0.0`.
 #[test]
 fn out_of_frame_zero_cost_children_join_the_efficient_set() {
     let ut = explicit_tree(
@@ -221,6 +225,35 @@ fn out_of_frame_zero_cost_children_join_the_efficient_set() {
     assert_eq!(nw, 4.0);
     assert_eq!(cost.to_bits(), 1.0f64.to_bits());
     check_mc(&ut, &dense, &sparse);
+
+    let net = ut.network();
+    let player = |x: usize| {
+        net.player_of_station(x)
+            .expect("non-source stations are players")
+    };
+    let mut session = SparseMcSession::new(&ut);
+    let warm = session.apply_batch(&[ChurnEvent::Join {
+        player: player(2),
+        utility: 5.0,
+    }]);
+    assert_eq!(session.frame_len(), 2, "only the bidder's path is framed");
+    let cold = vcg_outcome(&ut, &dense);
+    assert_eq!(warm.receivers, cold.receivers);
+    assert_eq!(
+        warm.receivers,
+        set.iter().map(|&x| player(x)).collect::<Vec<_>>()
+    );
+    for (p, (w, c)) in warm.shares.iter().zip(&cold.shares).enumerate() {
+        assert_eq!(w.to_bits(), c.to_bits(), "player {p}");
+    }
+    assert_eq!(warm.served_cost.to_bits(), cold.served_cost.to_bits());
+    for x in [1, 3, 4] {
+        assert_eq!(
+            warm.shares[player(x)].to_bits(),
+            0.0f64.to_bits(),
+            "rider {x}"
+        );
+    }
 }
 
 /// Scale gate: a populated sparse Shapley session at n = 10⁴ (lazy

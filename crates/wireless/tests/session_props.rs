@@ -1,14 +1,18 @@
 //! Property suite for the live-session engines: on every registered
-//! layout family, a warm [`ShapleySession`] / [`McSession`] driven by a
-//! random churn trace is **byte-identical** to a cold rebuild on the
-//! current receiver set after *every single event*, and the Shapley
+//! layout family, a warm [`SparseShapleySession`] / [`SparseMcSession`]
+//! driven by a random churn trace is **byte-identical** to a cold
+//! rebuild on the current receiver set after *every single event*, and
+//! the Shapley
 //! session stays exactly budget balanced after every batch at n = 1024.
 
 use proptest::prelude::*;
 use wmcs_geom::{ChurnProcess, LayoutFamily, Scenario};
 use wmcs_wireless::incremental::{shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::{vcg_outcome, McSession, ShapleySession};
-use wmcs_wireless::{SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork};
+use wmcs_wireless::session::vcg_outcome;
+use wmcs_wireless::{
+    SparseMcSession, SparseShapleySession, SubstrateBuilder, TreeKind, UniversalTree,
+    WirelessNetwork,
+};
 
 /// Universal tree of a scenario draw; alternates between both tree
 /// constructions so the sessions are pinned on SPT and MST shapes alike.
@@ -64,7 +68,7 @@ proptest! {
         }
         .generate();
 
-        let mut session = ShapleySession::new(&ut);
+        let mut session = SparseShapleySession::new(&ut);
         for batch in &trace.batches {
             session.apply_events(batch);
             let players = session.active_players();
@@ -104,10 +108,10 @@ proptest! {
         }
         .generate();
 
-        let mut session = McSession::new(&ut);
+        let mut session = SparseMcSession::new(&ut);
         for batch in &trace.batches {
             let warm = session.apply_batch(batch);
-            let cold = vcg_outcome(&ut, &NetWorthOracle::new(&ut, session.station_utilities()));
+            let cold = vcg_outcome(&ut, &NetWorthOracle::new(&ut, &session.station_utilities()));
             prop_assert_eq!(&warm.receivers, &cold.receivers,
                 "{} n={} seed={}", family.name(), n, seed);
             prop_assert_eq!(&warm.shares, &cold.shares,
@@ -131,7 +135,7 @@ fn session_budget_balance_holds_after_every_batch_at_n_1024() {
         let sc = Scenario::new(family, 1024, 2, 2.0);
         let trace = ChurnProcess::heavy(&sc, 10, hi, 7 ^ 0xbb).generate();
 
-        let mut session = ShapleySession::new(&ut);
+        let mut session = SparseShapleySession::new(&ut);
         let mut evicted_any = false;
         for batch in &trace.batches {
             session.apply_events(batch);

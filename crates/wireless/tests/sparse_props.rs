@@ -1,17 +1,19 @@
-//! Sparse ≡ dense identity suite (the T15 contract, randomised): a
-//! compact-frame warm session ([`SessionLayout::Sparse`]) must produce
-//! **byte-identical** outcomes to the universe-sized dense reference
-//! ([`SessionLayout::Dense`]) — receivers, shares (`==` on every `f64`
-//! bit), served cost and reported profile — for all five layout
-//! families, both mechanisms, and churn traces with mid-session joins.
-//! (The ≥ 10× warm-memory saving itself is pinned at realistic scale by
-//! the `sparse` module's unit tests — universes here are too small for
-//! the frame bookkeeping to win.)
+//! Frame ≡ cold-reference identity suite (the T15 contract, randomised):
+//! a frame-local warm session must produce **byte-identical** outcomes
+//! to a [`ColdSession`], which re-prices the group's standing bids from
+//! scratch after every batch with the universe-indexed engines —
+//! receivers, every share bit, the served-cost bits and the reported
+//! profile — for all five layout families, both mechanisms, and churn
+//! traces with mid-session joins. The reference tracks the bids itself,
+//! so it trusts nothing the session reports. (The ≥ 10× warm-memory saving
+//! is pinned by the `sparse` module's unit tests — universes here are
+//! too small for the frame bookkeeping to win.)
 
 use proptest::prelude::*;
+use wmcs_game::MechanismOutcome;
 use wmcs_geom::{ChurnProcess, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
-    GroupMechanism, GroupSession, MulticastService, SessionLayout, SubstrateBuilder, TreeKind,
+    ColdSession, GroupMechanism, GroupSession, MulticastService, SubstrateBuilder, TreeKind,
     UniversalTree, WirelessNetwork,
 };
 
@@ -33,15 +35,20 @@ fn build_tree(net: &WirelessNetwork, mst: bool) -> UniversalTree {
     }
 }
 
+/// Every share's bits, for `prop_assert_eq!` on `-0.0` vs `+0.0` too.
+fn share_bits(out: &MechanismOutcome) -> Vec<u64> {
+    out.shares.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Single group, every family × both mechanisms: the sparse session
-    /// replays the same churn trace as the dense session — joins, leaves,
-    /// rebids, and mid-session re-joins — and every batch outcome is
-    /// byte-identical (`==` on the `f64` shares, not approximate).
+    /// Single group, every family × both mechanisms: the frame session
+    /// replays a churn trace — joins, leaves, rebids, and mid-session
+    /// re-joins — and every batch outcome is byte-identical to the cold
+    /// reference's (bits of every `f64`, not approximate).
     #[test]
-    fn sparse_session_is_byte_identical_to_dense(
+    fn sparse_session_matches_cold_reference(
         seed in 0u64..10_000,
         family_ix in 0usize..5,
         n in 10usize..30,
@@ -60,37 +67,34 @@ proptest! {
         let trace = ChurnProcess::new(n - 1, 6, 5, hi, seed ^ 0x5a12).generate();
         let mech = [GroupMechanism::Shapley, GroupMechanism::MarginalCost][mech_ix];
 
-        let mut dense = GroupSession::with_layout(mech, &ut, SessionLayout::Dense);
-        let mut sparse = GroupSession::with_layout(mech, &ut, SessionLayout::Sparse);
-        prop_assert_eq!(dense.layout(), SessionLayout::Dense);
-        prop_assert_eq!(sparse.layout(), SessionLayout::Sparse);
-
+        let mut session = GroupSession::new(mech, &ut);
+        let mut cold = ColdSession::new(mech, &ut);
         for (b, batch) in trace.batches.iter().enumerate() {
-            let want = dense.apply_batch(batch);
-            let got = sparse.apply_batch(batch);
+            let got = session.apply_batch(batch);
+            let want = cold.price_batch(batch);
             prop_assert_eq!(
                 &got.receivers, &want.receivers,
                 "receiver drift at batch {}", b
             );
-            prop_assert_eq!(&got.shares, &want.shares, "share drift at batch {}", b);
+            prop_assert_eq!(share_bits(&got), share_bits(&want), "share drift at batch {}", b);
             prop_assert_eq!(
-                got.served_cost, want.served_cost,
+                got.served_cost.to_bits(), want.served_cost.to_bits(),
                 "served-cost drift at batch {}", b
             );
             prop_assert_eq!(
-                sparse.reported_profile(),
-                dense.reported_profile(),
+                session.reported_profile(),
+                cold.standing_bids(),
                 "reported-profile drift at batch {}",
                 b
             );
         }
     }
 
-    /// Auto resolution: a sparse-layout service over a shared substrate
-    /// is byte-identical to a dense-layout service, group by group and
-    /// batch by batch, and its warm state is never larger.
+    /// A frame-local service over a shared substrate (sharded) is
+    /// byte-identical to the per-group cold references, group by group
+    /// and batch by batch.
     #[test]
-    fn sparse_service_matches_dense_service(
+    fn sparse_service_matches_cold_reference(
         seed in 0u64..10_000,
         family_ix in 0usize..5,
         n in 12usize..26,
@@ -103,16 +107,14 @@ proptest! {
         let hi = (2.0 * broadcast / (n - 1) as f64).max(1e-9);
         let trace = MultiGroupProcess::new(n - 1, g, 4, hi, seed ^ 0x15e).generate();
 
-        let mut dense = MulticastService::new(&ut)
-            .with_threads(1)
-            .with_layout(SessionLayout::Dense);
-        let mut sparse = MulticastService::new(&ut)
-            .with_threads(0)
-            .with_layout(SessionLayout::Sparse);
-        for i in 0..g {
-            dense.add_group(GroupMechanism::alternating(i));
-            sparse.add_group(GroupMechanism::alternating(i));
-        }
+        let mut service = MulticastService::new(&ut).with_threads(0);
+        let mut cold: Vec<ColdSession> = (0..g)
+            .map(|i| {
+                let mech = GroupMechanism::alternating(i);
+                service.add_group(mech);
+                ColdSession::new(mech, &ut)
+            })
+            .collect();
 
         for b in 0..trace.n_batches() {
             let batches: Vec<Vec<_>> = trace
@@ -120,28 +122,31 @@ proptest! {
                 .iter()
                 .map(|gr| gr.trace.batches[b].clone())
                 .collect();
-            let want = dense.step_all(&batches);
-            let got = sparse.step_all(&batches);
-            for (i, (s, d)) in got.iter().zip(&want).enumerate() {
+            let got = service.step_all(&batches);
+            for (i, (s, reference)) in got.iter().zip(cold.iter_mut()).enumerate() {
+                let d = reference.price_batch(&batches[i]);
                 prop_assert_eq!(
-                    &s.outcome.receivers, &d.outcome.receivers,
+                    &s.outcome.receivers, &d.receivers,
                     "receiver drift: group {} batch {}", i, b
                 );
                 prop_assert_eq!(
-                    &s.outcome.shares, &d.outcome.shares,
+                    share_bits(&s.outcome), share_bits(&d),
                     "share drift: group {} batch {}", i, b
                 );
                 prop_assert_eq!(
-                    s.outcome.served_cost, d.outcome.served_cost,
+                    s.outcome.served_cost.to_bits(), d.served_cost.to_bits(),
                     "cost drift: group {} batch {}", i, b
+                );
+                prop_assert_eq!(
+                    service.reported_profile(i), reference.standing_bids(),
+                    "reported-profile drift: group {} batch {}", i, b
                 );
             }
         }
-        // Both accountings are live (the ≥ 10× sparse *saving* is pinned
-        // at realistic scale by `sparse::tests::
+        // The accounting is live (the ≥ 10× frame *saving* is pinned at
+        // realistic scale by `sparse::tests::
         // sparse_memory_tracks_the_closure_not_the_universe` — at these
         // toy universes the frame bookkeeping can dominate).
-        prop_assert!(dense.memory_bytes() > 0);
-        prop_assert!(sparse.memory_bytes() > 0);
+        prop_assert!(service.memory_bytes() > 0);
     }
 }

@@ -15,7 +15,7 @@
 //! ```
 
 use multicast_cost_sharing::prelude::*;
-use multicast_cost_sharing::wireless::ShapleySession;
+use multicast_cost_sharing::wireless::SparseShapleySession;
 
 fn main() {
     // The city: a jittered grid of 49 relay masts, backbone at mast 0.
@@ -46,7 +46,7 @@ fn main() {
     let own_substrate = SubstrateBuilder::new(&net)
         .tree(TreeKind::Spt)
         .build_universal();
-    let mut alone = ShapleySession::new(&own_substrate);
+    let mut alone = SparseShapleySession::new(&own_substrate);
 
     println!(
         "== multi-group service: {} masts, {} groups, {} events ==\n",

@@ -60,7 +60,8 @@ pub mod prelude {
     pub use wmcs_nwst::{NodeWeightedGraph, NwstConfig};
     pub use wmcs_wireless::{
         memt_exact, Admission, AlphaOneSolver, Backend, ChurnEvent, ChurnProcess, ChurnTrace,
-        GroupMechanism, LineSolver, McSession, MulticastService, PowerAssignment, ShapleySession,
-        StreamConfig, StreamService, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
+        GroupMechanism, LineSolver, MulticastService, PowerAssignment, SparseMcSession,
+        SparseShapleySession, StreamConfig, StreamService, SubstrateBuilder, TreeKind,
+        UniversalTree, WirelessNetwork,
     };
 }

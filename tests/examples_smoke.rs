@@ -309,7 +309,7 @@ fn disaster_relief_truthfulness_holds() {
 /// consistent with the trace.
 #[test]
 fn multi_group_service_isolates_groups_and_balances_budgets() {
-    use multicast_cost_sharing::wireless::ShapleySession;
+    use multicast_cost_sharing::wireless::SparseShapleySession;
 
     let cfg = InstanceConfig {
         n: 49,
@@ -330,7 +330,7 @@ fn multi_group_service_isolates_groups_and_balances_budgets() {
     let own_substrate = SubstrateBuilder::new(&net)
         .tree(TreeKind::Spt)
         .build_universal();
-    let mut alone = ShapleySession::new(&own_substrate);
+    let mut alone = SparseShapleySession::new(&own_substrate);
 
     let mut served_any = false;
     for b in 0..trace.n_batches() {
