@@ -28,12 +28,15 @@
 //!   `O(|closure(R_g)|)` instead of `O(n)` via [`substrate::Subframe`]
 //!   local ids;
 //! * [`service`] — the sharded multi-group service layer: G concurrent
-//!   groups, each a warm session, priced over one substrate by a
-//!   work-stealing worker pool with per-group byte-determinism;
+//!   groups, each a warm session, priced over one substrate by the
+//!   stream's epoch pool with per-group byte-determinism, behind a
+//!   boundary check that refuses unknown players and non-finite or
+//!   negative bids;
 //! * [`stream`] — epoch-pipelined streaming ingestion: interleaved
 //!   `(group, event)` streams through bounded per-group queues with
 //!   deterministic count-watermark epoch sealing and `Busy`
-//!   backpressure, byte-identical to single-threaded batch replay;
+//!   backpressure, byte-identical to single-threaded batch replay — and
+//!   the one group table and worker pool both fronts run on;
 //! * [`memt`] — exact minimum-energy multicast (set-state Dijkstra) and the
 //!   all-subsets `C*` table, the optimum reference for every β-BB claim;
 //! * [`mst_heuristic`] — the MST broadcast heuristic \[50\] and the KMB
@@ -77,7 +80,10 @@ pub use memt::{memt_exact, MemtCostTable, OptimalMulticastCost, MAX_EXACT_STATIO
 pub use mst_heuristic::{mst_broadcast, mst_multicast, steiner_multicast};
 pub use network::WirelessNetwork;
 pub use power::PowerAssignment;
-pub use service::{GroupMechanism, GroupOutcome, GroupSession, MulticastService, SessionLayout};
+pub use service::{
+    validate_event, GroupMechanism, GroupOutcome, GroupSession, InvalidEvent, MulticastService,
+    SessionLayout,
+};
 pub use session::{vcg_outcome, ChurnEvent, ChurnProcess, ChurnTrace, ColdSession};
 pub use sparse::{SparseMcSession, SparseNetWorth, SparseShapley, SparseShapleySession};
 pub use stream::{

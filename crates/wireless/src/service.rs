@@ -6,28 +6,25 @@
 //! regime this workspace grows toward serves many groups over one
 //! station universe concurrently (the multi-connection setting of Lun et
 //! al. and the many-group capacity regime of Liu & Andrews — see
-//! PAPERS.md). A [`MulticastService`] holds:
-//!
-//! * one `O(1)`-clone [`UniversalTree`] handle — the immutable
-//!   [`crate::substrate::TreeSubstrate`] every group shares;
-//! * per group, a warm frame-local session ([`SparseShapleySession`] or
-//!   [`SparseMcSession`]) whose `O(|closure|)` engine state is the only
-//!   per-group allocation.
+//! PAPERS.md). In a [`MulticastService`] every group is a warm
+//! frame-local session ([`SparseShapleySession`] or [`SparseMcSession`])
+//! over one `O(1)`-clone [`UniversalTree`] handle (the immutable
+//! [`crate::substrate::TreeSubstrate`]); its `O(|closure|)` engine state
+//! is the only per-group allocation.
 //!
 //! # Batch ingestion and sharding
 //!
 //! A service **step** takes one churn batch per (addressed) group and
 //! reprices exactly those groups. Groups are independent — no event ever
-//! crosses groups — so the step shards them over a crossbeam worker pool:
-//! a shared atomic cursor hands out group indices (work stealing, same
-//! discipline as the sweep engine in `wmcs-bench`), each worker absorbs
-//! and reprices its group, and outcomes land in per-group slots.
+//! crosses groups — so each batch is sealed as one epoch on the
+//! [`crate::stream`] worker pool, after every event passed
+//! [`validate_event`] on the caller's thread.
 //!
 //! # Determinism contract
 //!
 //! The outcome of a step is **byte-identical** regardless of thread
 //! count: each group's events are applied in batch order by exactly one
-//! worker, results are placed by group index, and the substrate is never
+//! worker, results land in per-epoch slots, and the substrate is never
 //! written after construction. [`MulticastService::with_threads`] with 1
 //! is therefore the reference the sharded run is pinned against
 //! (experiment T12 and `tests/service_props.rs` additionally pin every
@@ -35,11 +32,36 @@
 //! built substrate* — cross-group isolation down to the last float).
 
 use crate::sparse::{SparseMcSession, SparseShapleySession};
+use crate::stream::{StreamConfig, StreamService};
 use crate::universal::UniversalTree;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::churn::ChurnEvent;
+
+/// Why an event was refused at the service boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidEvent {
+    /// The player id is not below the network's player count.
+    UnknownPlayer,
+    /// A join's or rebid's bid is NaN, infinite or negative.
+    InvalidBid,
+}
+
+/// The boundary check every served event passes before it can reach a
+/// warm session: `player < n_players`, and a join's or rebid's bid finite
+/// and ≥ 0. A NaN bid would otherwise be served and charged.
+pub fn validate_event(event: &ChurnEvent, n_players: usize) -> Result<(), InvalidEvent> {
+    let bid = match *event {
+        ChurnEvent::Join { utility, .. } | ChurnEvent::Rebid { utility, .. } => utility,
+        ChurnEvent::Leave { .. } => 0.0,
+    };
+    if event.player() >= n_players {
+        Err(InvalidEvent::UnknownPlayer)
+    } else if bid.is_finite() && bid >= 0.0 {
+        Ok(())
+    } else {
+        Err(InvalidEvent::InvalidBid)
+    }
+}
 
 /// The former warm-state layout knob, now with nothing to choose: every
 /// group runs on the frame engine.
@@ -165,40 +187,12 @@ pub struct GroupOutcome {
 /// (`O(Σ |frame_g|)`) but shares the substrate — the
 /// `service_throughput` bench clones a warmed service inside its timers
 /// to replay identical steady states.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MulticastService {
-    ut: UniversalTree,
-    mechanisms: Vec<GroupMechanism>,
-    /// Per-group warm sessions. The mutex is an ownership device for the
-    /// work-stealing shard (each index is taken by exactly one worker per
-    /// step), never contended.
-    groups: Vec<Mutex<GroupSession>>,
-    /// Worker threads per step; 0 = available parallelism.
-    threads: usize,
+    /// The group table and worker pool (steps bypass its queue bounds).
+    groups: StreamService,
     steps: usize,
     events: usize,
-}
-
-impl Clone for MulticastService {
-    fn clone(&self) -> Self {
-        Self {
-            ut: self.ut.clone(),
-            mechanisms: self.mechanisms.clone(),
-            groups: self
-                .groups
-                .iter()
-                .map(|group| {
-                    // A panicked worker poisons its group's mutex; the
-                    // state itself is a plain session snapshot, so recover
-                    // it rather than fabricating a second panic site.
-                    Mutex::new(group.lock().unwrap_or_else(PoisonError::into_inner).clone())
-                })
-                .collect(),
-            threads: self.threads,
-            steps: self.steps,
-            events: self.events,
-        }
-    }
 }
 
 impl MulticastService {
@@ -206,19 +200,20 @@ impl MulticastService {
     /// yet). The handle is cloned (`O(1)`), never the substrate.
     pub fn new(ut: &UniversalTree) -> Self {
         Self {
-            ut: ut.clone(),
-            mechanisms: Vec::new(),
-            groups: Vec::new(),
-            threads: 0,
+            groups: StreamService::new(ut, StreamConfig::new(1, 1, 1)),
             steps: 0,
             events: 0,
         }
+        .with_threads(0)
     }
 
     /// Pin the worker count (1 = the single-thread reference; 0 =
     /// available parallelism, the default).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.groups.config.threads = match threads {
+            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+            t => t,
+        };
         self
     }
 
@@ -226,50 +221,36 @@ impl MulticastService {
     /// id (dense, starting at 0). `O(1)`; the substrate is shared, not
     /// copied.
     pub fn add_group(&mut self, mechanism: GroupMechanism) -> usize {
-        let state = GroupSession::new(mechanism, &self.ut);
-        self.mechanisms.push(mechanism);
-        self.groups.push(Mutex::new(state));
-        self.groups.len() - 1
+        self.groups.add_group(mechanism)
     }
 
     /// Number of registered groups.
     pub fn n_groups(&self) -> usize {
-        self.groups.len()
+        self.groups.n_groups()
     }
 
     /// The mechanism group `g` is priced with.
     pub fn mechanism(&self, g: usize) -> GroupMechanism {
-        self.mechanisms[g]
+        self.groups.mechanism(g)
     }
 
     /// The shared universal tree every group prices over.
     pub fn universal_tree(&self) -> &UniversalTree {
-        &self.ut
+        self.groups.universal_tree()
     }
 
     /// Total warm session state across every group, in bytes (the shared
     /// substrate is excluded — it is one `Arc` for the whole service).
     /// Divide by [`Self::n_groups`] for the per-group figure.
     pub fn memory_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|group| {
-                group
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .memory_bytes()
-            })
-            .sum()
+        self.groups.memory_bytes()
     }
 
     /// The full-length bid profile group `g` would reprice with next
     /// (zero outside the group's session) — the VP gates read charges
     /// against exactly this profile.
     pub fn reported_profile(&self, g: usize) -> Vec<f64> {
-        self.groups[g]
-            .lock()
-            .expect("a group mutex is never poisoned")
-            .reported_profile()
+        self.groups.group_session(g).reported_profile()
     }
 
     /// Steps executed so far.
@@ -289,73 +270,40 @@ impl MulticastService {
     /// step — the deterministic ingestion contract). Returns one
     /// [`GroupOutcome`] per entry, in the same order, byte-identical for
     /// every thread count.
+    ///
+    /// # Panics
+    /// On unordered or unknown group ids, and on any event that fails
+    /// [`validate_event`] — checked before any worker starts, so a
+    /// refused step changes no group.
     pub fn step(&mut self, batch: &[(usize, &[ChurnEvent])]) -> Vec<GroupOutcome> {
         assert!(
             batch.windows(2).all(|w| w[0].0 < w[1].0),
             "group ids must be strictly ascending (one batch per group per step)"
         );
-        if let Some(&(last, _)) = batch.last() {
-            assert!(last < self.groups.len(), "unknown group id {last}");
-        }
+        let n_players = self.universal_tree().network().n_players();
+        let refused = batch.iter().find_map(|&(group, events)| {
+            if group >= self.n_groups() {
+                return Some(format!("unknown group id {group}"));
+            }
+            let (event, reason) = events
+                .iter()
+                .find_map(|event| Some((event, validate_event(event, n_players).err()?)))?;
+            Some(format!("group {group}: {reason:?}: {event:?}"))
+        });
+        assert!(refused.is_none(), "{}", refused.unwrap_or_default());
         self.steps += 1;
         self.events += batch.iter().map(|(_, ev)| ev.len()).sum::<usize>();
 
-        let slots: Vec<OnceLock<MechanismOutcome>> =
-            (0..batch.len()).map(|_| OnceLock::new()).collect();
-        let run_one = |i: usize| {
-            let (g, events) = batch[i];
-            let mut state = self.groups[g]
-                .lock()
-                .expect("a group mutex is never poisoned");
-            let outcome = state.apply_batch(events);
-            slots[i]
-                .set(outcome)
-                .expect("each addressed group repriced exactly once");
-        };
-
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            self.threads
-        }
-        .clamp(1, batch.len().max(1));
-
-        if threads <= 1 {
-            for i in 0..batch.len() {
-                run_one(i);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= batch.len() {
-                            break;
-                        }
-                        run_one(i);
-                    });
-                }
-            })
-            .expect("service worker panicked");
-        }
-
-        batch
-            .iter()
-            .zip(slots)
-            .map(|(&(group, _), slot)| GroupOutcome {
-                group,
-                outcome: slot.into_inner().expect("all addressed groups repriced"),
-            })
+        let outcomes = self.groups.run_whole(batch);
+        (batch.iter().zip(outcomes))
+            .map(|(&(group, _), outcome)| GroupOutcome { group, outcome })
             .collect()
     }
 
     /// Convenience step addressing **every** group: `batches[g]` is group
     /// `g`'s event batch (must cover all groups).
     pub fn step_all(&mut self, batches: &[Vec<ChurnEvent>]) -> Vec<GroupOutcome> {
-        assert_eq!(batches.len(), self.groups.len(), "one batch per group");
+        assert_eq!(batches.len(), self.n_groups(), "one batch per group");
         let batch: Vec<(usize, &[ChurnEvent])> = batches
             .iter()
             .enumerate()
@@ -368,21 +316,8 @@ impl MulticastService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
-    use crate::network::WirelessNetwork;
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{MultiGroupProcess, Point, PowerModel};
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        SubstrateBuilder::new(&net)
-            .tree(TreeKind::Spt)
-            .build_universal()
-    }
+    use crate::random_tree;
+    use wmcs_geom::MultiGroupProcess;
 
     fn service_with_groups(ut: &UniversalTree, g: usize, threads: usize) -> MulticastService {
         let mut svc = MulticastService::new(ut).with_threads(threads);
@@ -477,5 +412,30 @@ mod tests {
         let mut svc = service_with_groups(&ut, 2, 1);
         let empty: [ChurnEvent; 0] = [];
         let _ = svc.step(&[(7, &empty)]);
+    }
+
+    #[test]
+    fn invalid_events_fail_the_step_before_any_group_changes() {
+        let ut = random_tree(3, 12);
+        let mut svc = service_with_groups(&ut, 2, 2);
+        let good = [ChurnEvent::Join {
+            player: 1,
+            utility: 100.0,
+        }];
+        let nan = [ChurnEvent::Join {
+            player: 2,
+            utility: f64::NAN,
+        }];
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.step(&[(0, &good), (1, &nan)])
+        }));
+        let payload = step.expect_err("a NaN bid must be refused");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.starts_with("group 1: InvalidBid"), "{message}");
+        assert_eq!(svc.n_steps(), 0);
+        assert!(
+            svc.reported_profile(0).iter().all(|&bid| bid == 0.0),
+            "the valid group of a refused step is untouched too"
+        );
     }
 }

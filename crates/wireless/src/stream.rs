@@ -1,6 +1,7 @@
 //! Epoch-pipelined streaming ingestion: interleaved `(group, event)`
 //! streams served over the shared substrate, byte-identical to batch
-//! replay.
+//! replay. Its group table and worker pool also serve every
+//! [`MulticastService`] step, sealing each batch as one epoch.
 //!
 //! [`crate::service::MulticastService`] ingests pre-materialized batches
 //! with strictly ascending group ids; production multicast traffic
@@ -45,7 +46,9 @@
 //! ever queued or running). Rejections and retries are counted per group
 //! in the [`StreamReport`]. When `capacity < watermark` every seal is a
 //! saturation seal; the effective epoch size is always
-//! [`StreamConfig::epoch_size`].
+//! [`StreamConfig::epoch_size`]. An event failing [`validate_event`] is
+//! refused with [`Admission::Invalid`]. A panicking worker fails the
+//! service on unwind, so the next seal panics instead of waiting forever.
 //!
 //! # Latency
 //!
@@ -56,10 +59,12 @@
 //! submission tick) — the exact-percentile harness in
 //! `wmcs-bench::latency` consumes these via [`StreamLatencies`].
 
-use crate::service::{GroupMechanism, GroupSession, MulticastService};
+use crate::service::{
+    validate_event, GroupMechanism, GroupSession, InvalidEvent, MulticastService,
+};
 use crate::universal::UniversalTree;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::churn::ChurnEvent;
@@ -98,14 +103,6 @@ impl StreamConfig {
         }
     }
 
-    /// The same config with a different worker count (≥ 1) — the knob
-    /// the determinism proptests sweep.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "the epoch pool needs at least one worker");
-        self.threads = threads;
-        self
-    }
-
     /// The effective epoch size: `min(watermark, capacity)`. With
     /// `capacity ≥ watermark` every full epoch is a watermark seal; with
     /// `capacity < watermark` every full epoch is a saturation seal of
@@ -137,6 +134,14 @@ pub enum Admission {
         group: usize,
         /// The queue depth observed (always the configured capacity).
         depth: usize,
+    },
+    /// The event failed [`validate_event`]; it was **not** queued, is not
+    /// counted as accepted, and no retry can admit it.
+    Invalid {
+        /// The addressed group.
+        group: usize,
+        /// Why the event was refused.
+        reason: InvalidEvent,
     },
 }
 
@@ -269,6 +274,15 @@ pub fn epoch_plan(events: &[ChurnEvent], config: &StreamConfig) -> Vec<Vec<Churn
         .collect()
 }
 
+/// The outcome placed in an epoch's slot, taken once the pool has joined
+/// (every slot passed here belongs to a sealed epoch).
+fn completed(slot: Option<Arc<OnceLock<EpochOutcome>>>) -> EpochOutcome {
+    let done = slot
+        .and_then(Arc::into_inner)
+        .and_then(OnceLock::into_inner);
+    done.expect("every sealed epoch completed")
+}
+
 /// One group's pending queue and stream accounting (behind the group's
 /// queue mutex; mutated only by the producer side and the in-flight
 /// flag handshake).
@@ -277,11 +291,11 @@ struct GroupQueue {
     /// Admitted events waiting to be sealed, with their submission
     /// ticks. Never longer than the configured capacity.
     pending: Vec<(ChurnEvent, u64)>,
-    /// Epochs sealed so far (the next epoch number).
-    epochs_sealed: u64,
     /// Whether a sealed epoch of this group is queued or running —
     /// pipeline depth 1 per group, the in-order execution guarantee.
     in_flight: bool,
+    /// Whether a sealer waits on `idle` (only then is a wake-up needed).
+    awaited: bool,
     /// Events admitted.
     accepted: u64,
     /// Submissions rejected with `Busy`.
@@ -295,7 +309,24 @@ struct GroupQueue {
     lat: StreamLatencies,
 }
 
-/// One group's streaming state: bounded queue + warm session.
+impl GroupQueue {
+    /// Take the pending events sealed at `seal_tick`, recording latencies.
+    fn take_pending(&mut self, seal_tick: u64) -> Vec<ChurnEvent> {
+        debug_assert!(!self.pending.is_empty(), "sealing an empty epoch");
+        let pending = std::mem::take(&mut self.pending);
+        let first_tick = pending.first().map_or(seal_tick, |&(_, t)| t);
+        self.lat.reprice.push(seal_tick.saturating_sub(first_tick));
+        pending
+            .into_iter()
+            .map(|(ev, tick)| {
+                self.lat.record(&ev, seal_tick.saturating_sub(tick));
+                ev
+            })
+            .collect()
+    }
+}
+
+/// One group's entry in the group table: bounded queue + warm session.
 #[derive(Debug)]
 struct GroupSlot {
     /// Pending queue and accounting.
@@ -306,8 +337,22 @@ struct GroupSlot {
     /// The group's warm session; locked by exactly one worker at a time
     /// (in-flight ≤ 1 makes it uncontended).
     session: Mutex<GroupSession>,
-    /// The mechanism the group is priced with.
-    mechanism: GroupMechanism,
+}
+
+impl GroupSlot {
+    fn new(session: GroupSession) -> Self {
+        Self {
+            queue: Mutex::new(GroupQueue::default()),
+            idle: Condvar::new(),
+            session: Mutex::new(session),
+        }
+    }
+
+    fn lock_queue(&self) -> MutexGuard<'_, GroupQueue> {
+        self.queue
+            .lock()
+            .expect("a group queue mutex is never poisoned")
+    }
 }
 
 /// A sealed epoch handed to the worker pool.
@@ -325,54 +370,41 @@ struct Epoch {
 struct TaskState {
     queue: VecDeque<Epoch>,
     shutdown: bool,
+    /// Workers waiting on the task condvar: only they need a wake-up.
+    idle: usize,
 }
 
 /// Epoch-pipelined streaming ingestion over one shared substrate — see
 /// the module docs for the determinism and backpressure contracts.
 ///
-/// Cloning copies every group's warm session (`O(G·n)`) but shares the
-/// substrate and starts with fresh, empty stream accounting — the
-/// `stream_throughput` bench clones a warmed service inside its timers
-/// to replay identical steady states.
+/// Cloning copies every group's warm session (`O(Σ |frame_g|)`) but
+/// shares the substrate and starts with fresh, empty stream accounting —
+/// the `stream_throughput` bench clones a warmed service inside its
+/// timers to replay identical steady states.
 #[derive(Debug)]
 pub struct StreamService {
     ut: UniversalTree,
-    config: StreamConfig,
+    pub(crate) config: StreamConfig,
     groups: Vec<GroupSlot>,
     tasks: Mutex<TaskState>,
     task_cv: Condvar,
+    /// Set once an epoch worker panics: later seals panic, never wait.
+    failed: AtomicBool,
     /// The virtual clock: one tick per submission attempt.
     clock: AtomicU64,
 }
 
 impl Clone for StreamService {
     fn clone(&self) -> Self {
-        Self {
-            ut: self.ut.clone(),
-            config: self.config,
-            groups: self
-                .groups
-                .iter()
-                .map(|slot| GroupSlot {
-                    queue: Mutex::new(GroupQueue::default()),
-                    idle: Condvar::new(),
-                    // A panicked worker poisons its group's mutex; the
-                    // state itself is a plain session snapshot, so
-                    // recover it rather than fabricating a second panic
-                    // site.
-                    session: Mutex::new(
-                        slot.session
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .clone(),
-                    ),
-                    mechanism: slot.mechanism,
-                })
-                .collect(),
-            tasks: Mutex::new(TaskState::default()),
-            task_cv: Condvar::new(),
-            clock: AtomicU64::new(0),
+        let mut twin = Self::new(&self.ut, self.config);
+        for slot in &self.groups {
+            // A panicked worker poisons its group's mutex; the state
+            // itself is a plain session snapshot, so recover it rather
+            // than fabricating a second panic site.
+            let session = slot.session.lock().unwrap_or_else(PoisonError::into_inner);
+            twin.groups.push(GroupSlot::new(session.clone()));
         }
+        twin
     }
 }
 
@@ -391,6 +423,30 @@ impl Drop for ShutdownGuard<'_> {
     }
 }
 
+/// Marks a worker's epoch complete on drop; on unwind, fails the service.
+struct EpochDone<'a>(&'a StreamService, usize);
+
+impl Drop for EpochDone<'_> {
+    fn drop(&mut self) {
+        let (svc, panicked) = (self.0, std::thread::panicking());
+        svc.failed.fetch_or(panicked, Ordering::SeqCst);
+        // Taking each lock orders the wake-up after a sealer's check of
+        // `failed`.
+        let done = if panicked {
+            &svc.groups[..]
+        } else {
+            std::slice::from_ref(&svc.groups[self.1])
+        };
+        for slot in done {
+            let mut queue = slot.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            queue.in_flight = false;
+            if std::mem::take(&mut queue.awaited) {
+                slot.idle.notify_all();
+            }
+        }
+    }
+}
+
 impl StreamService {
     /// An empty streaming service over the shared substrate of `ut` (no
     /// groups yet). The handle is cloned (`O(1)`), never the substrate.
@@ -401,6 +457,7 @@ impl StreamService {
             groups: Vec::new(),
             tasks: Mutex::new(TaskState::default()),
             task_cv: Condvar::new(),
+            failed: AtomicBool::new(false),
             clock: AtomicU64::new(0),
         }
     }
@@ -408,12 +465,8 @@ impl StreamService {
     /// Register a new group priced with `mechanism`; returns its group
     /// id (dense, starting at 0).
     pub fn add_group(&mut self, mechanism: GroupMechanism) -> usize {
-        self.groups.push(GroupSlot {
-            queue: Mutex::new(GroupQueue::default()),
-            idle: Condvar::new(),
-            session: Mutex::new(GroupSession::new(mechanism, &self.ut)),
-            mechanism,
-        });
+        let session = GroupSession::new(mechanism, &self.ut);
+        self.groups.push(GroupSlot::new(session));
         self.groups.len() - 1
     }
 
@@ -424,7 +477,22 @@ impl StreamService {
 
     /// The mechanism group `g` is priced with.
     pub fn mechanism(&self, g: usize) -> GroupMechanism {
-        self.groups[g].mechanism
+        self.group_session(g).mechanism()
+    }
+
+    /// The task queue.
+    fn lock_tasks(&self) -> MutexGuard<'_, TaskState> {
+        self.tasks
+            .lock()
+            .expect("the task queue mutex is never poisoned")
+    }
+
+    /// Group `g`'s warm session (uncontended outside a drive).
+    pub(crate) fn group_session(&self, g: usize) -> MutexGuard<'_, GroupSession> {
+        self.groups[g]
+            .session
+            .lock()
+            .expect("a group session mutex is never poisoned")
     }
 
     /// The shared universal tree every group prices over.
@@ -459,122 +527,129 @@ impl StreamService {
     ///
     /// Sessions stay **warm** across drives (epoch numbers and the
     /// virtual clock restart; group state carries over), mirroring a
-    /// `MulticastService` stepped across multiple traces.
+    /// `MulticastService` stepped across multiple traces. Re-raises a
+    /// producer panic; panics if an epoch worker panicked.
     pub fn drive<R: Send>(
         &mut self,
         producer: impl FnOnce(&StreamHandle<'_>) -> R + Send,
     ) -> (R, StreamReport) {
         self.clock.store(0, Ordering::Relaxed);
-        {
-            let mut tasks = self
-                .tasks
-                .lock()
-                .expect("the task queue mutex is never poisoned");
-            tasks.shutdown = false;
-            debug_assert!(tasks.queue.is_empty(), "stale epochs from a previous drive");
-        }
-        let this: &StreamService = self;
-        let result = crossbeam::thread::scope(|scope| {
-            for _ in 0..this.config.threads {
-                scope.spawn(move |_| loop {
-                    // Pop the next sealed epoch; exit only once the
-                    // queue is drained *and* shutdown is flagged.
-                    let task = {
-                        let mut tasks = this
-                            .tasks
-                            .lock()
-                            .expect("the task queue mutex is never poisoned");
-                        loop {
-                            if let Some(task) = tasks.queue.pop_front() {
-                                break Some(task);
-                            }
-                            if tasks.shutdown {
-                                break None;
-                            }
-                            tasks = this
-                                .task_cv
-                                .wait(tasks)
-                                .expect("the task queue mutex is never poisoned");
-                        }
-                    };
-                    let Some(task) = task else { break };
-                    let slot = &this.groups[task.group];
-                    let outcome = {
-                        let mut session = slot
-                            .session
-                            .lock()
-                            .expect("a group session mutex is never poisoned");
-                        session.apply_batch(&task.events)
-                    };
-                    // The slot pattern: the epoch's outcome goes into its
-                    // per-epoch OnceLock; the single-threaded drain after
-                    // the pool joins folds the slots in seal order.
-                    let placed: &OnceLock<EpochOutcome> = &task.slot;
-                    placed
-                        .set(EpochOutcome {
-                            group: task.group,
-                            epoch: task.epoch,
-                            n_events: task.events.len(),
-                            outcome,
-                        })
-                        .expect("each sealed epoch is executed exactly once");
-                    let mut queue = slot
-                        .queue
-                        .lock()
-                        .expect("a group queue mutex is never poisoned");
-                    queue.in_flight = false;
-                    drop(queue);
-                    slot.idle.notify_all();
-                });
-            }
-            let guard = ShutdownGuard(this);
-            let handle = StreamHandle { svc: this };
+        let handle = StreamHandle { svc: self };
+        let result = self.run_pool(self.config.threads, || {
             let out = producer(&handle);
-            for g in 0..this.groups.len() {
+            for g in 0..handle.n_groups() {
                 handle.flush(g);
             }
-            // Normal path: residual epochs are queued before the guard
-            // flags shutdown; workers drain them before exiting.
-            drop(guard);
+            out
+        });
+        let report = self.drain_report();
+        (result, report)
+    }
+
+    /// Run `producer` beside `workers` spawned epoch workers — the one
+    /// pool behind [`Self::drive`] and [`MulticastService::step`] — until
+    /// every sealed epoch is done; with no worker, the calling thread runs
+    /// them once `producer` returns. A panic on either side is re-raised.
+    fn run_pool<R>(&self, workers: usize, producer: impl FnOnce() -> R) -> R {
+        let mut tasks = self.lock_tasks();
+        tasks.shutdown = false;
+        debug_assert!(tasks.queue.is_empty(), "stale epochs from a previous run");
+        drop(tasks);
+        let work = || loop {
+            // Pop the next sealed epoch; exit once drained *and* shut down.
+            let mut tasks = self.lock_tasks();
+            let task = loop {
+                match tasks.queue.pop_front() {
+                    Some(task) => break task,
+                    None if tasks.shutdown => return,
+                    None => {
+                        tasks.idle += 1;
+                        tasks = self
+                            .task_cv
+                            .wait(tasks)
+                            .expect("the task queue mutex is never poisoned");
+                        tasks.idle -= 1;
+                    }
+                }
+            };
+            drop(tasks);
+            let _done = EpochDone(self, task.group);
+            let outcome = self.group_session(task.group).apply_batch(&task.events);
+            // The slot pattern: the outcome goes into the epoch's own
+            // OnceLock; the caller folds the slots after the pool joins.
+            let placed: &OnceLock<EpochOutcome> = &task.slot;
+            placed
+                .set(EpochOutcome {
+                    group: task.group,
+                    epoch: task.epoch,
+                    n_events: task.events.len(),
+                    outcome,
+                })
+                .expect("each sealed epoch is executed exactly once");
+        };
+        crossbeam::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|_| work());
+            }
+            // Dropped once the producer returns (or unwinds): the workers
+            // drain the queued epochs, then exit.
+            let shutdown = ShutdownGuard(self);
+            let out = producer();
+            drop(shutdown);
+            if workers == 0 {
+                work();
+            }
             out
         })
         // Re-raise the original payload (a producer assertion, say)
         // instead of wrapping it — the shutdown guard has already
         // released the workers, so the join behind us was clean.
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        let report = self.drain_report();
-        (result, report)
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// A [`MulticastService`] step: seal each `(group, events)` entry as
+    /// one whole epoch (no admission, clock tick or latency sample), run
+    /// them on the pool, return the outcomes in batch order.
+    pub(crate) fn run_whole(&self, batch: &[(usize, &[ChurnEvent])]) -> Vec<MechanismOutcome> {
+        // A one-thread or one-group step runs on the calling thread.
+        let workers = match self.config.threads.min(batch.len()) {
+            1 => 0,
+            n => n,
+        };
+        self.run_pool(workers, || {
+            for &(group, events) in batch {
+                let slot = &self.groups[group];
+                self.seal(group, slot, slot.lock_queue(), |_| events.to_vec());
+            }
+        });
+        (batch.iter())
+            .map(|&(group, _)| completed(self.groups[group].lock_queue().slots.pop()).outcome)
+            .collect()
     }
 
     /// One submission attempt (see [`StreamHandle::submit`]).
     fn submit_inner(&self, group: usize, event: ChurnEvent) -> Admission {
         assert!(group < self.groups.len(), "unknown group id {group}");
+        if let Err(reason) = validate_event(&event, self.ut.network().n_players()) {
+            return Admission::Invalid { group, reason };
+        }
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = &self.groups[group];
-        let mut queue = slot
-            .queue
-            .lock()
-            .expect("a group queue mutex is never poisoned");
+        let mut queue = slot.lock_queue();
         if queue.pending.len() >= self.config.capacity {
             let depth = queue.pending.len();
             queue.rejected += 1;
             // Saturation seal: the overflowing submission is rejected,
             // but it forces the backlog out as a partial epoch — the
             // immediate retry is guaranteed to be admitted.
-            let (guard, _) = self.seal(group, slot, queue, tick);
-            drop(guard);
+            self.seal(group, slot, queue, |q| q.take_pending(tick));
             return Admission::Busy { group, depth };
         }
         queue.pending.push((event, tick));
         queue.accepted += 1;
         let depth = queue.pending.len();
-        let sealed = if depth >= self.config.watermark {
-            let (guard, epoch) = self.seal(group, slot, queue, tick);
-            drop(guard);
-            Some(epoch)
-        } else {
-            None
-        };
+        let sealed = (depth >= self.config.watermark)
+            .then(|| self.seal(group, slot, queue, |q| q.take_pending(tick)));
         Admission::Accepted {
             group,
             depth,
@@ -582,53 +657,45 @@ impl StreamService {
         }
     }
 
-    /// Seal `slot`'s pending events as the group's next epoch: wait for
-    /// the previous epoch to complete (pipeline depth 1), record latency
-    /// samples, hand the epoch to the pool. Called with the group queue
-    /// locked; returns the guard and the sealed epoch number.
-    fn seal<'a>(
-        &'a self,
+    /// Seal the events `take` draws from `group`'s locked queue as its
+    /// next epoch once the previous one completed (pipeline depth 1), and
+    /// hand it to the pool. Returns the sealed epoch number.
+    fn seal(
+        &self,
         group: usize,
-        slot: &'a GroupSlot,
-        mut queue: MutexGuard<'a, GroupQueue>,
-        seal_tick: u64,
-    ) -> (MutexGuard<'a, GroupQueue>, u64) {
-        while queue.in_flight {
-            queue = slot
-                .idle
-                .wait(queue)
-                .expect("a group queue mutex is never poisoned");
-        }
-        debug_assert!(!queue.pending.is_empty(), "sealing an empty epoch");
-        let epoch = queue.epochs_sealed;
-        queue.epochs_sealed += 1;
-        let pending = std::mem::take(&mut queue.pending);
-        let first_tick = pending.first().map_or(seal_tick, |&(_, t)| t);
-        let mut events = Vec::with_capacity(pending.len());
-        for (ev, tick) in pending {
-            queue.lat.record(&ev, seal_tick.saturating_sub(tick));
-            events.push(ev);
-        }
-        queue.lat.reprice.push(seal_tick.saturating_sub(first_tick));
-        let out_slot = Arc::new(OnceLock::new());
-        queue.slots.push(Arc::clone(&out_slot));
+        slot: &GroupSlot,
+        queue: MutexGuard<'_, GroupQueue>,
+        take: impl FnOnce(&mut GroupQueue) -> Vec<ChurnEvent>,
+    ) -> u64 {
+        let failed = || self.failed.load(Ordering::SeqCst);
+        let mut queue = slot
+            .idle
+            .wait_while(queue, |queue| {
+                queue.awaited = queue.in_flight && !failed();
+                queue.awaited
+            })
+            .expect("a group queue mutex is never poisoned");
+        // A panicked worker's epoch may never complete: seal no more.
+        assert!(!failed(), "an epoch worker panicked");
+        let events = take(&mut queue);
+        let epoch = queue.slots.len() as u64;
+        let placed = Arc::new(OnceLock::new());
+        queue.slots.push(Arc::clone(&placed));
         queue.in_flight = true;
-        {
-            // Lock order is always group queue → task queue (workers
-            // take them disjointly), so this nesting cannot deadlock.
-            let mut tasks = self
-                .tasks
-                .lock()
-                .expect("the task queue mutex is never poisoned");
-            tasks.queue.push_back(Epoch {
-                group,
-                epoch,
-                events,
-                slot: out_slot,
-            });
+        // Lock order is always group queue → task queue (workers take
+        // them disjointly), so this nesting cannot deadlock.
+        let mut tasks = self.lock_tasks();
+        tasks.queue.push_back(Epoch {
+            group,
+            epoch,
+            events,
+            slot: placed,
+        });
+        // Only a waiting worker needs the wake-up (a syscall).
+        if tasks.idle > 0 {
+            self.task_cv.notify_one();
         }
-        self.task_cv.notify_one();
-        (queue, epoch)
+        epoch
     }
 
     /// Collect and reset every group's stream accounting after the pool
@@ -639,35 +706,25 @@ impl StreamService {
             .iter_mut()
             .enumerate()
             .map(|(g, slot)| {
-                let queue = slot.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
+                let mechanism = slot
+                    .session
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .mechanism();
+                // A panicking producer may abandon admitted-but-unsealed
+                // events; a fresh drive starts clean either way.
+                let queue =
+                    std::mem::take(slot.queue.get_mut().unwrap_or_else(PoisonError::into_inner));
                 debug_assert!(!queue.in_flight, "an epoch is still in flight after join");
-                let slots = std::mem::take(&mut queue.slots);
-                let epochs: Vec<EpochOutcome> = slots
-                    .into_iter()
-                    .map(|slot| {
-                        Arc::try_unwrap(slot)
-                            .expect("no worker holds an epoch slot after the pool joins")
-                            .into_inner()
-                            .expect("every sealed epoch completed")
-                    })
-                    .collect();
-                let report = GroupStreamReport {
+                GroupStreamReport {
                     group: g,
-                    mechanism: slot.mechanism,
+                    mechanism,
                     accepted: queue.accepted,
                     rejected: queue.rejected,
                     retries: queue.retries,
-                    latencies: std::mem::take(&mut queue.lat),
-                    epochs,
-                };
-                // A panicking producer may abandon admitted-but-unsealed
-                // events; a fresh drive starts clean either way.
-                queue.pending.clear();
-                queue.accepted = 0;
-                queue.rejected = 0;
-                queue.retries = 0;
-                queue.epochs_sealed = 0;
-                report
+                    latencies: queue.lat,
+                    epochs: queue.slots.into_iter().map(Some).map(completed).collect(),
+                }
             })
             .collect();
         StreamReport { groups }
@@ -688,7 +745,8 @@ impl StreamHandle<'_> {
     /// One submission attempt: admit `event` into `group`'s bounded
     /// queue, or reject it with a deterministic [`Admission::Busy`]
     /// (which saturation-seals the backlog — an immediate retry is
-    /// admitted).
+    /// admitted). An event that fails [`validate_event`] is refused with
+    /// [`Admission::Invalid`] before it touches the queue or the clock.
     ///
     /// # Panics
     /// On an unknown group id.
@@ -696,7 +754,8 @@ impl StreamHandle<'_> {
         self.svc.submit_inner(group, event)
     }
 
-    /// Submit with retry-on-busy until admitted; returns the number of
+    /// Submit with retry-on-busy until admitted or refused as
+    /// [`Admission::Invalid`] (never retried); returns the number of
     /// `Busy` rejections absorbed (each also counted in the group's
     /// [`GroupStreamReport::retries`] accounting).
     pub fn submit_blocking(&self, group: usize, event: ChurnEvent) -> u64 {
@@ -705,15 +764,12 @@ impl StreamHandle<'_> {
             match self.submit(group, event) {
                 Admission::Accepted { .. } => {
                     if busy > 0 {
-                        let mut queue = self.svc.groups[group]
-                            .queue
-                            .lock()
-                            .expect("a group queue mutex is never poisoned");
-                        queue.retries += busy;
+                        self.svc.groups[group].lock_queue().retries += busy;
                     }
                     return busy;
                 }
                 Admission::Busy { .. } => busy += 1,
+                Admission::Invalid { .. } => return busy,
             }
         }
     }
@@ -728,17 +784,12 @@ impl StreamHandle<'_> {
     pub fn flush(&self, group: usize) -> Option<u64> {
         assert!(group < self.svc.groups.len(), "unknown group id {group}");
         let slot = &self.svc.groups[group];
-        let queue = slot
-            .queue
-            .lock()
-            .expect("a group queue mutex is never poisoned");
+        let queue = slot.lock_queue();
         if queue.pending.is_empty() {
             return None;
         }
         let tick = self.svc.clock.load(Ordering::Relaxed);
-        let (guard, epoch) = self.svc.seal(group, slot, queue, tick);
-        drop(guard);
-        Some(epoch)
+        Some(self.svc.seal(group, slot, queue, |q| q.take_pending(tick)))
     }
 
     /// Number of registered groups.
@@ -774,21 +825,9 @@ pub fn replay_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
-    use crate::network::WirelessNetwork;
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{MultiGroupProcess, Point, PowerModel};
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        SubstrateBuilder::new(&net)
-            .tree(TreeKind::Spt)
-            .build_universal()
-    }
+    use crate::random_tree;
+    use std::time::Duration;
+    use wmcs_geom::MultiGroupProcess;
 
     fn stream_with_groups(ut: &UniversalTree, g: usize, config: StreamConfig) -> StreamService {
         let mut svc = StreamService::new(ut, config);
@@ -901,7 +940,9 @@ mod tests {
             .iter()
             .map(|a| match *a {
                 Admission::Accepted { sealed, .. } => sealed,
-                Admission::Busy { .. } => panic!("no rejection expected"),
+                Admission::Busy { .. } | Admission::Invalid { .. } => {
+                    panic!("no rejection expected")
+                }
             })
             .collect();
         assert_eq!(sealed, vec![None, None, Some(0), None, None, Some(1), None]);
@@ -1042,5 +1083,80 @@ mod tests {
         assert_eq!(sizes(&StreamConfig::new(64, 3, 1)), vec![3, 3, 3, 1]);
         assert_eq!(sizes(&StreamConfig::new(10, 10, 1)), vec![10]);
         assert!(epoch_plan(&[], &StreamConfig::new(4, 4, 1)).is_empty());
+    }
+
+    #[test]
+    fn invalid_events_are_refused_on_the_callers_thread() {
+        let ut = random_tree(2, 12);
+        let n = ut.network().n_players();
+        let mut svc = stream_with_groups(&ut, 1, StreamConfig::new(4, 8, 1));
+        let join = |player, utility| ChurnEvent::Join { player, utility };
+        let refused = [
+            (join(2, f64::NAN), InvalidEvent::InvalidBid),
+            (join(2, -1.0), InvalidEvent::InvalidBid),
+            (
+                ChurnEvent::Rebid {
+                    player: 1,
+                    utility: f64::INFINITY,
+                },
+                InvalidEvent::InvalidBid,
+            ),
+            (join(n, 1.0), InvalidEvent::UnknownPlayer),
+            (ChurnEvent::Leave { player: n }, InvalidEvent::UnknownPlayer),
+        ];
+        let (admissions, report) = svc.drive(|h| {
+            let mut out: Vec<Admission> = refused.iter().map(|&(ev, _)| h.submit(0, ev)).collect();
+            assert_eq!(h.submit_blocking(0, join(2, f64::NAN)), 0, "never retried");
+            out.push(h.submit(0, join(1, 100.0)));
+            out
+        });
+        for (adm, &(_, reason)) in admissions.iter().zip(&refused) {
+            assert_eq!(*adm, Admission::Invalid { group: 0, reason });
+        }
+        // Only the valid bidder was queued: one accepted event, one epoch,
+        // and the NaN bidder next to it is neither served nor charged.
+        let gr = &report.groups[0];
+        assert_eq!(gr.accepted, 1);
+        assert_eq!(gr.rejected, 0);
+        // One tick from the valid submission to the end-of-drive flush:
+        // the refusals before it took none.
+        assert_eq!(gr.latencies.join, vec![1], "refusals take no clock tick");
+        assert_eq!(gr.epochs.len(), 1);
+        let outcome = &gr.epochs[0].outcome;
+        assert!(!outcome.receivers.contains(&2));
+        assert_eq!(outcome.shares[2], 0.0);
+    }
+
+    #[test]
+    fn a_panicking_epoch_worker_fails_the_drive_instead_of_hanging() {
+        // One worker, watermark 1: the first epoch panics inside the
+        // worker, and the producer's next seal waits on that group's
+        // in-flight epoch. The worker's unwind must release it.
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        std::thread::spawn(move || {
+            let ut = random_tree(1, 8);
+            let mut svc = stream_with_groups(&ut, 1, StreamConfig::new(1, 4, 1));
+            let join = |player| ChurnEvent::Join {
+                player,
+                utility: 1.0,
+            };
+            let drive = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                svc.drive(|h| {
+                    // Sealing directly skips the boundary check, so the
+                    // worker panics at `station_of_player`.
+                    let slot = &h.svc.groups[0];
+                    h.svc.seal(0, slot, slot.lock_queue(), |_| vec![join(999)]);
+                    for p in 1..4 {
+                        h.submit(0, join(p));
+                    }
+                })
+            }));
+            let _ = tx.send(drive.is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(30)),
+            Ok(true),
+            "the drive must re-raise the worker's panic, not hang"
+        );
     }
 }

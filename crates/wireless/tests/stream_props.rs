@@ -182,6 +182,7 @@ fn rejection_points_are_identical_across_runs_and_worker_counts() {
                 assert_eq!(per_group % 3, 2, "submission {i}: busy only on overflow");
                 assert_eq!(*depth, 2, "busy reports the configured capacity");
             }
+            Admission::Invalid { .. } => panic!("submission {i}: every event is valid"),
         }
     }
 }
