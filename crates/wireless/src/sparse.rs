@@ -48,6 +48,7 @@
 use crate::session::ChurnEvent;
 use crate::substrate::{Subframe, TreeSubstrate};
 use crate::universal::{served_cost_of, UniversalTree};
+use std::collections::BinaryHeap;
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::EPS;
 
@@ -355,10 +356,17 @@ impl SparseShapley {
 ///
 /// Unlike the cold oracle's flat per-edge `pre`/`suf` arrays, this oracle
 /// stores each station's prefix/suffix maxima **only at the station's
-/// own edge** (one `f64` pair per local id): the zeroing walk only ever
-/// reads the entries along a root path, and an entry is read only after
-/// a utility change has forced its parent's recompute to write it (see
-/// the staleness argument in `DESIGN.md` §2f).
+/// own edge** (one `f64` pair per local id), written by the parent's
+/// kernel. The parent's kernel reruns whenever any child's `h` changed,
+/// so the slots are current wherever the zeroing walk reads them: it
+/// reads them at `v` only when zeroing moves `h[v]`, so `h[v] > 0`, and
+/// every move of `h[v]` away from its initial `0.0` reran the parent
+/// (`DESIGN.md` §2f).
+///
+/// Utility changes are batched: [`SparseNetWorth::set_utility`] (and a
+/// session's whole `apply_events`) installs utilities and splices frame
+/// suffixes first, then one repair reruns each dirty kernel once,
+/// deepest local id first.
 #[derive(Debug, Clone)]
 pub struct SparseNetWorth {
     ut: UniversalTree,
@@ -381,6 +389,12 @@ pub struct SparseNetWorth {
     /// Scratch: one station's in-frame children (the kernel needs them
     /// indexable while it mutates `pre`/`suf`).
     fkids: Vec<u32>,
+    /// Locals whose kernel the next repair must rerun (a new utility, a
+    /// fresh frame station, or a child whose `h` moved); empty between
+    /// repairs.
+    dirty: BinaryHeap<u32>,
+    /// Kernel runs so far — the repair's deterministic work count.
+    kernel_runs: u64,
 }
 
 impl SparseNetWorth {
@@ -400,15 +414,18 @@ impl SparseNetWorth {
             suf: vec![f64::NEG_INFINITY],
             scratch: Vec::new(),
             fkids: Vec::new(),
+            dirty: BinaryHeap::new(),
+            kernel_runs: 0,
         };
         oracle.recompute_local(&sub, Subframe::ROOT);
         oracle
     }
 
-    /// Grow the parallel arrays to the frame's current length and return
-    /// the previous length (new locals start with the exact state of an
-    /// all-zero subtree, pending their kernel run).
-    fn sync_frame(&mut self) -> usize {
+    /// Grow the parallel arrays to the frame's current length and mark
+    /// the new locals dirty: they start with the `h`/`best` of an
+    /// all-zero subtree, and their kernel run (the next repair) fixes
+    /// `choice`, the leading run of zero-cost children.
+    fn sync_frame(&mut self) {
         let old = self.u.len();
         let len = self.frame.len();
         if old < len {
@@ -418,8 +435,9 @@ impl SparseNetWorth {
             self.choice.resize(len, 0);
             self.pre.resize(len, 0.0);
             self.suf.resize(len, f64::NEG_INFINITY);
+            self.dirty
+                .extend((old..len).map(|l| u32::try_from(l).expect("frame ids fit u32")));
         }
-        old
     }
 
     /// The [`NetWorthOracle`](crate::incremental::NetWorthOracle)
@@ -430,6 +448,7 @@ impl SparseNetWorth {
     /// float stream is identical to the cold kernel's. `O(global degree
     /// of v)`.
     fn recompute_local(&mut self, sub: &TreeSubstrate, v: u32) {
+        self.kernel_runs += 1;
         let vg = self.frame.global_of(v);
         let kids_g = sub.sorted_children(vg);
         let k = kids_g.len();
@@ -505,59 +524,60 @@ impl SparseNetWorth {
     }
 
     /// Bring `station` into the frame and return its local id: an unseen
-    /// station first splices its path suffix in and initialises the new
-    /// locals bottom-up with the kernel (their subtrees are all-zero, so
-    /// no ancestor changes until a utility lands).
+    /// station first splices its path suffix in, whose new locals wait
+    /// dirty for the next repair (their subtrees are all-zero, so no
+    /// ancestor changes until a utility lands).
     fn ensure_local(&mut self, sub: &TreeSubstrate, station: usize) -> u32 {
         assert!(
             station != sub.network().source(),
             "the source has no utility"
         );
         let v = self.frame.ensure(sub, station);
-        let old_len = self.sync_frame();
-        if self.frame.len() > old_len {
-            // New locals were appended top-down; run the kernel deepest
-            // first so each parent sees its (all-zero) child's exact h.
-            for l in (old_len..self.frame.len()).rev() {
-                self.recompute_local(sub, u32::try_from(l).expect("frame ids fit u32"));
-            }
-        }
+        self.sync_frame();
         v
     }
 
-    /// Replace the utility at local `v` and repair the DP along its root
-    /// path, stopping at the first ancestor whose `h` is unchanged — the
-    /// cold [`NetWorthOracle`](crate::incremental::NetWorthOracle) DP's
-    /// every stored float, kept warm.
-    fn set_utility_local(&mut self, sub: &TreeSubstrate, v: u32, utility: f64) {
-        let vi = v as usize;
-        self.u[vi] = utility;
-        // v's own prefix state depends only on its children, which are
-        // untouched — only own(v) changes.
-        let old = self.h[vi];
-        self.h[vi] = utility.max(0.0) + self.best[vi];
-        if self.h[vi] == old {
-            return;
-        }
-        let mut w = v;
-        while w != Subframe::ROOT {
-            let p = self.frame.parent_local(w);
-            debug_assert!(p != NO_LOCAL, "non-root local has a parent");
-            let before = self.h[p as usize];
-            self.recompute_local(sub, p);
-            if self.h[p as usize] == before {
-                return;
-            }
-            w = p;
-        }
+    /// Install the utility at local `v` and mark `v` dirty; the DP is
+    /// stale until the next [`SparseNetWorth::repair`].
+    fn install_utility(&mut self, v: u32, utility: f64) {
+        self.u[v as usize] = utility;
+        self.dirty.push(v);
     }
 
-    /// Replace `station`'s utility and repair the DP along its root path,
-    /// growing the frame first if the station is unseen.
+    /// Bring the DP up to date with every installed utility: pop the
+    /// dirty locals deepest id first, skipping duplicates, rerun each
+    /// one's kernel once, and mark its parent dirty whenever its `h`
+    /// moved. The frame appends top-down, so a parent's local id is
+    /// below all of its children's, and each kernel runs after every
+    /// dirty child's. Each stored float is then a pure function of the
+    /// current utilities — the cold
+    /// [`NetWorthOracle`](crate::incremental::NetWorthOracle) DP's,
+    /// bitwise — however many events the batch held.
+    fn repair(&mut self, sub: &TreeSubstrate) {
+        let start = self.kernel_runs;
+        while let Some(v) = self.dirty.pop() {
+            while self.dirty.peek() == Some(&v) {
+                self.dirty.pop();
+            }
+            let before = self.h[v as usize];
+            self.recompute_local(sub, v);
+            if self.h[v as usize] != before && v != Subframe::ROOT {
+                self.dirty.push(self.frame.parent_local(v));
+            }
+        }
+        debug_assert!(
+            self.kernel_runs - start <= self.frame.len() as u64,
+            "a repair runs each local's kernel at most once"
+        );
+    }
+
+    /// Replace `station`'s utility (growing the frame first if the
+    /// station is unseen) and repair the DP.
     pub fn set_utility(&mut self, station: usize, utility: f64) {
         let sub = self.ut.substrate().clone();
         let v = self.ensure_local(&sub, station);
-        self.set_utility_local(&sub, v, utility);
+        self.install_utility(v, utility);
+        self.repair(&sub);
     }
 
     /// Local id of `station`, or [`Subframe::NONE`] when it is out of
@@ -711,7 +731,8 @@ impl SparseNetWorth {
                 + self.suf.capacity()
                 + self.scratch.capacity())
                 * size_of::<f64>()
-            + (self.choice.capacity() + self.fkids.capacity()) * size_of::<u32>()
+            + (self.choice.capacity() + self.fkids.capacity() + self.dirty.capacity())
+                * size_of::<u32>()
     }
 
     /// Drop doubling-growth slack so steady-state warm bytes equal the
@@ -725,6 +746,7 @@ impl SparseNetWorth {
         self.choice.shrink_to_fit();
         self.pre.shrink_to_fit();
         self.suf.shrink_to_fit();
+        self.dirty.shrink_to_fit();
     }
 }
 
@@ -946,9 +968,10 @@ struct Bidder {
 /// The live marginal-cost (VCG) session: the mechanism over a warm
 /// [`SparseNetWorth`], `O(|frame|)` warm bytes.
 ///
-/// Each event repairs the DP along one root path; each reprice runs the
-/// selection walk and one `O(depth)` externality query per receiver, all
-/// on local ids. The outcome is byte-identical to
+/// A batch of events installs its bids, then repairs the DP once, each
+/// dirty station's kernel at most once; each reprice runs the selection
+/// walk and one `O(depth)` externality query per receiver, all on local
+/// ids. The outcome is byte-identical to
 /// [`vcg_outcome`](crate::session::vcg_outcome) over a cold
 /// [`NetWorthOracle`](crate::incremental::NetWorthOracle) built on the
 /// same utilities.
@@ -982,7 +1005,8 @@ impl SparseMcSession {
     /// Absorb events (total semantics, see [`crate::session`]): a
     /// `Join`/`Rebid` installs the bid, a `Leave` zeroes it. Only a
     /// newcomer's `Join` looks its station up; every other event reaches
-    /// the oracle through the member's local id.
+    /// the oracle through the member's local id. The DP is repaired once
+    /// for the whole batch, after every bid is installed.
     pub fn apply_events(&mut self, events: &[ChurnEvent]) {
         let sub = self.ut.substrate();
         for ev in events {
@@ -999,24 +1023,25 @@ impl SparseMcSession {
                             local
                         }
                     };
-                    self.oracle.set_utility_local(sub, local, utility);
+                    self.oracle.install_utility(local, utility);
                 }
                 ChurnEvent::Leave { player } => {
                     let p = u32::try_from(player).expect("player ids fit u32");
                     if let Ok(i) = self.members.binary_search_by_key(&p, |m| m.player) {
                         let m = self.members.remove(i);
-                        self.oracle.set_utility_local(sub, m.local, 0.0);
+                        self.oracle.install_utility(m.local, 0.0);
                     }
                 }
                 ChurnEvent::Rebid { player, utility } => {
                     let p = u32::try_from(player).expect("player ids fit u32");
                     if let Ok(i) = self.members.binary_search_by_key(&p, |m| m.player) {
                         let local = self.members[i].local;
-                        self.oracle.set_utility_local(sub, local, utility);
+                        self.oracle.install_utility(local, utility);
                     }
                 }
             }
         }
+        self.oracle.repair(sub);
     }
 
     /// Recompute the VCG outcome from the warm oracle: serve the largest
@@ -1173,6 +1198,232 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Zero-cost edges at several levels — 0 → {1 (0.0), 2 (1.5)},
+    /// 1 → {3 (0.0), 4 (0.0), 5 (2.0)}, 2 → {6 (0.0)}, 6 → {7 (0.5),
+    /// 8 (0.0)}, 3 → {9 (1.0)} — priced over exactly that tree.
+    fn zero_cost_tree() -> UniversalTree {
+        use crate::{SubstrateBuilder, WirelessNetwork};
+        use wmcs_graph::{CostMatrix, RootedTree};
+        let edges = [
+            (0, 1, 0.0),
+            (0, 2, 1.5),
+            (1, 3, 0.0),
+            (1, 4, 0.0),
+            (1, 5, 2.0),
+            (2, 6, 0.0),
+            (6, 7, 0.5),
+            (6, 8, 0.0),
+            (3, 9, 1.0),
+        ];
+        let mut parents = vec![None; 10];
+        for &(p, c, _) in &edges {
+            parents[c] = Some(p);
+        }
+        let net = WirelessNetwork::symmetric(CostMatrix::from_edges(10, &edges), 0);
+        SubstrateBuilder::from_owned(net)
+            .explicit_tree(RootedTree::from_parents(0, parents))
+            .build_universal()
+    }
+
+    /// The total-semantics model of an MC session: the bidding players
+    /// and the station-indexed utilities a cold oracle consumes.
+    struct Model {
+        bidders: std::collections::BTreeSet<usize>,
+        u: Vec<f64>,
+    }
+
+    impl Model {
+        fn apply(&mut self, ut: &UniversalTree, ev: &ChurnEvent) {
+            let net = ut.network();
+            match *ev {
+                ChurnEvent::Join { player, utility } => {
+                    self.bidders.insert(player);
+                    self.u[net.station_of_player(player)] = utility;
+                }
+                ChurnEvent::Leave { player } => {
+                    if self.bidders.remove(&player) {
+                        self.u[net.station_of_player(player)] = 0.0;
+                    }
+                }
+                ChurnEvent::Rebid { player, utility } => {
+                    if self.bidders.contains(&player) {
+                        self.u[net.station_of_player(player)] = utility;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Apply `batch` as one `apply_events` and check the warm oracle's
+    /// whole query surface bitwise against a cold oracle on the model's
+    /// utilities, then reprice against `vcg_outcome`.
+    fn batch_matches_cold(session: &mut SparseMcSession, model: &mut Model, batch: &[ChurnEvent]) {
+        use crate::incremental::NetWorthOracle;
+        use crate::session::vcg_outcome;
+        let ut = session.universal_tree().clone();
+        session.apply_events(batch);
+        for ev in batch {
+            model.apply(&ut, ev);
+        }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(session.station_utilities()), bits(model.u.clone()));
+        assert_eq!(
+            session.active_players(),
+            model.bidders.iter().copied().collect::<Vec<_>>()
+        );
+        assert!(session.oracle.dirty.is_empty(), "the batch was repaired");
+        let cold = NetWorthOracle::new(&ut, &model.u);
+        let warm = &session.oracle;
+        assert_eq!(
+            warm.net_worth().to_bits(),
+            cold.net_worth().to_bits(),
+            "{batch:?}"
+        );
+        let (ws, wnw, wc) = warm.efficient_set_with_cost();
+        let (cs, cnw, cc) = cold.efficient_set_with_cost();
+        assert_eq!(ws, cs, "{batch:?}");
+        assert_eq!(wnw.to_bits(), cnw.to_bits(), "{batch:?}");
+        assert_eq!(wc.to_bits(), cc.to_bits(), "{batch:?}");
+        let s = ut.network().source();
+        for y in (0..ut.network().n_stations()).filter(|&y| y != s) {
+            assert_eq!(
+                warm.net_worth_zeroing(y).to_bits(),
+                cold.net_worth_zeroing(y).to_bits(),
+                "station {y} after {batch:?}"
+            );
+        }
+        let out = session.reprice();
+        let want = vcg_outcome(&ut, &cold);
+        assert_eq!(out.receivers, want.receivers);
+        assert_eq!(bits(out.shares), bits(want.shares));
+        assert_eq!(out.served_cost.to_bits(), want.served_cost.to_bits());
+    }
+
+    #[test]
+    fn batched_apply_events_matches_a_cold_oracle_after_every_batch() {
+        let ut = zero_cost_tree();
+        let net = ut.network().clone();
+        let p = |x: usize| net.player_of_station(x).expect("not the source");
+        let join = |x, utility| ChurnEvent::Join {
+            player: p(x),
+            utility,
+        };
+        let rebid = |x, utility| ChurnEvent::Rebid {
+            player: p(x),
+            utility,
+        };
+        let leave = |x| ChurnEvent::Leave { player: p(x) };
+        let scripted: Vec<Vec<ChurnEvent>> = vec![
+            // Frame 6's path, then repeated rebids of one player.
+            vec![join(6, 3.0), rebid(6, 1.0), rebid(6, 7.0), rebid(6, 0.5)],
+            // Fresh joins hanging off the framed anchor 6, with 6 rebid.
+            vec![join(7, 0.25), rebid(6, 2.0), join(8, 4.0)],
+            // Join → leave → rejoin of one player, and zero bids of both
+            // signs on zero-cost edges.
+            vec![
+                join(9, 4.0),
+                leave(9),
+                join(9, 6.0),
+                join(4, 0.0),
+                join(3, -0.0),
+            ],
+            vec![rebid(3, 0.0), rebid(4, -0.0), leave(5), join(5, 3.0)],
+            // Rebids of a player that just left are no-ops.
+            vec![leave(7), rebid(7, 9.0), rebid(8, -0.0), rebid(8, 0.0)],
+            // Everyone leaves: the last member's leave empties the group.
+            [3, 4, 5, 6, 8, 9].into_iter().map(leave).collect(),
+            // A rejoin into the empty, fully framed group.
+            vec![join(1, 0.0), join(2, 5.0), join(7, 1.0)],
+        ];
+        let mut session = SparseMcSession::new(&ut);
+        let mut model = Model {
+            bidders: Default::default(),
+            u: vec![0.0; net.n_stations()],
+        };
+        for batch in &scripted {
+            batch_matches_cold(&mut session, &mut model, batch);
+        }
+        assert_eq!(session.frame_len(), 10, "every station was framed");
+
+        // Random multi-event batches over a small player pool, on the
+        // zero-cost tree and on random trees.
+        for seed in 0..8u64 {
+            let ut = if seed == 0 {
+                zero_cost_tree()
+            } else {
+                random_tree(seed, 14)
+            };
+            let n = ut.network().n_players();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xba7c);
+            let mut session = SparseMcSession::new(&ut);
+            let mut model = Model {
+                bidders: Default::default(),
+                u: vec![0.0; ut.network().n_stations()],
+            };
+            for _ in 0..25 {
+                let len = rng.gen_range(1..24);
+                let batch: Vec<ChurnEvent> = (0..len)
+                    .map(|_| {
+                        let player = rng.gen_range(0..n);
+                        let utility = match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(0.0..8.0),
+                        };
+                        match rng.gen_range(0..3) {
+                            0 => ChurnEvent::Join { player, utility },
+                            1 => ChurnEvent::Leave { player },
+                            _ => ChurnEvent::Rebid { player, utility },
+                        }
+                    })
+                    .collect();
+                batch_matches_cold(&mut session, &mut model, &batch);
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_of_rebids_runs_each_path_kernel_at_most_once() {
+        for seed in 0..6 {
+            let ut = random_tree(seed, 40);
+            let sub = ut.substrate();
+            let net = ut.network();
+            let depth = |mut x: usize| {
+                let mut d = 0;
+                while x != net.source() {
+                    x = sub.parent_of(x);
+                    d += 1;
+                }
+                d
+            };
+            let x = (0..net.n_stations())
+                .max_by_key(|&x| depth(x))
+                .expect("stations exist");
+            let d = depth(x);
+            let player = net.player_of_station(x).expect("the deepest station bids");
+            let mut session = SparseMcSession::new(&ut);
+            session.apply_events(&[ChurnEvent::Join {
+                player,
+                utility: 1.0,
+            }]);
+            // Bids spanning the path's edge costs, so ancestors' h moves.
+            let broadcast: f64 = (0..net.n_stations()).map(|y| sub.parent_cost(y)).sum();
+            let rebids: Vec<ChurnEvent> = (1..=64)
+                .map(|i| ChurnEvent::Rebid {
+                    player,
+                    utility: broadcast * f64::from(i) / 32.0,
+                })
+                .collect();
+            let before = session.oracle.kernel_runs;
+            session.apply_events(&rebids);
+            let runs = session.oracle.kernel_runs - before;
+            assert!(
+                (1..=d as u64 + 1).contains(&runs),
+                "seed {seed}: {runs} kernels for 64 rebids at depth {d}"
+            );
         }
     }
 

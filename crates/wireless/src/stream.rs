@@ -47,7 +47,8 @@
 //! in the [`StreamReport`]. When `capacity < watermark` every seal is a
 //! saturation seal; the effective epoch size is always
 //! [`StreamConfig::epoch_size`]. An event failing [`validate_event`] is
-//! refused with [`Admission::Invalid`]. A panicking worker fails the
+//! refused with [`Admission::Invalid`] and counted in its group's
+//! [`GroupStreamReport::invalid`]. A panicking worker fails the
 //! service on unwind, so the next seal panics instead of waiting forever.
 //!
 //! # Latency
@@ -213,6 +214,8 @@ pub struct GroupStreamReport {
     pub accepted: u64,
     /// Submissions rejected with [`Admission::Busy`].
     pub rejected: u64,
+    /// Submissions refused with [`Admission::Invalid`].
+    pub invalid: u64,
     /// Successful re-submissions after a `Busy` (as counted by
     /// [`StreamHandle::submit_blocking`]).
     pub retries: u64,
@@ -239,6 +242,11 @@ impl StreamReport {
     /// Submissions rejected across all groups.
     pub fn n_rejected(&self) -> u64 {
         self.groups.iter().map(|g| g.rejected).sum()
+    }
+
+    /// Submissions refused as invalid across all groups.
+    pub fn n_invalid(&self) -> u64 {
+        self.groups.iter().map(|g| g.invalid).sum()
     }
 
     /// Successful post-`Busy` re-submissions across all groups.
@@ -300,6 +308,8 @@ struct GroupQueue {
     accepted: u64,
     /// Submissions rejected with `Busy`.
     rejected: u64,
+    /// Submissions refused as `Invalid`.
+    invalid: u64,
     /// Successful post-`Busy` re-submissions.
     retries: u64,
     /// Per-epoch outcome slots, in seal order (the slot pattern: workers
@@ -630,11 +640,12 @@ impl StreamService {
     /// One submission attempt (see [`StreamHandle::submit`]).
     fn submit_inner(&self, group: usize, event: ChurnEvent) -> Admission {
         assert!(group < self.groups.len(), "unknown group id {group}");
+        let slot = &self.groups[group];
         if let Err(reason) = validate_event(&event, self.ut.network().n_players()) {
+            slot.lock_queue().invalid += 1;
             return Admission::Invalid { group, reason };
         }
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.groups[group];
         let mut queue = slot.lock_queue();
         if queue.pending.len() >= self.config.capacity {
             let depth = queue.pending.len();
@@ -721,6 +732,7 @@ impl StreamService {
                     mechanism,
                     accepted: queue.accepted,
                     rejected: queue.rejected,
+                    invalid: queue.invalid,
                     retries: queue.retries,
                     latencies: queue.lat,
                     epochs: queue.slots.into_iter().map(Some).map(completed).collect(),
@@ -757,7 +769,9 @@ impl StreamHandle<'_> {
     /// Submit with retry-on-busy until admitted or refused as
     /// [`Admission::Invalid`] (never retried); returns the number of
     /// `Busy` rejections absorbed (each also counted in the group's
-    /// [`GroupStreamReport::retries`] accounting).
+    /// [`GroupStreamReport::retries`] accounting). A refusal returns the
+    /// same `0` as a first-try admission; it is counted in the group's
+    /// [`GroupStreamReport::invalid`] instead.
     pub fn submit_blocking(&self, group: usize, event: ChurnEvent) -> u64 {
         let mut busy = 0u64;
         loop {
@@ -1118,6 +1132,7 @@ mod tests {
         let gr = &report.groups[0];
         assert_eq!(gr.accepted, 1);
         assert_eq!(gr.rejected, 0);
+        assert_eq!(gr.invalid, refused.len() as u64 + 1);
         // One tick from the valid submission to the end-of-drive flush:
         // the refusals before it took none.
         assert_eq!(gr.latencies.join, vec![1], "refusals take no clock tick");
@@ -1125,6 +1140,30 @@ mod tests {
         let outcome = &gr.epochs[0].outcome;
         assert!(!outcome.receivers.contains(&2));
         assert_eq!(outcome.shares[2], 0.0);
+    }
+
+    #[test]
+    fn submit_blocking_refusals_are_counted_as_invalid() {
+        let ut = random_tree(3, 10);
+        let n = ut.network().n_players();
+        let mut svc = stream_with_groups(&ut, 2, StreamConfig::new(4, 8, 1));
+        let join = |player, utility| ChurnEvent::Join { player, utility };
+        let (busy, report) = svc.drive(|h| {
+            let valid = h.submit_blocking(1, join(1, 5.0));
+            let nan = h.submit_blocking(1, join(2, f64::NAN));
+            let unknown = h.submit_blocking(1, join(n, 1.0));
+            [valid, nan, unknown]
+        });
+        // The return value cannot tell a refusal from an admission; the
+        // report can.
+        assert_eq!(busy, [0, 0, 0]);
+        let gr = &report.groups[1];
+        assert_eq!(gr.invalid, 2);
+        assert_eq!(gr.accepted, 1, "refusals leave the accepted count alone");
+        assert_eq!((gr.rejected, gr.retries), (0, 0));
+        assert_eq!(report.groups[0].invalid, 0);
+        assert_eq!(report.n_invalid(), 2);
+        assert_eq!(report.n_accepted(), 1);
     }
 
     #[test]

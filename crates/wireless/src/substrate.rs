@@ -45,7 +45,6 @@
 //! [`UniversalTree`]: crate::universal::UniversalTree
 
 use crate::network::WirelessNetwork;
-use std::collections::BTreeMap;
 use wmcs_graph::RootedTree;
 
 /// Sentinel for "no station" in dense `usize` parent/sibling arrays.
@@ -313,6 +312,14 @@ impl TreeSubstrate {
     }
 }
 
+/// The home slot of `key` in a `2^bits`-slot index (`1 ≤ bits ≤ 32`): a
+/// fixed multiplicative (Fibonacci) hash keeping the product's top
+/// `bits` bits, so a key's home at every smaller size is a prefix of it.
+#[inline]
+fn home(key: NodeId, bits: u32) -> usize {
+    (key.0.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize
+}
+
 /// A compact **local-id frame** over the path closure of a station
 /// subset — the per-group half of the sparse session layout.
 ///
@@ -340,16 +347,19 @@ impl TreeSubstrate {
 ///   order-identical to the universe-indexed traversal (the
 ///   byte-identity argument in DESIGN.md §2f).
 ///
-/// Building the closure of a member set costs `O(Σ path · log |frame|)`
-/// (the `log` is the global→local [`BTreeMap`]; no `HashMap`, per the
-/// audit's determinism rules). The sentinel for "no local station" is
+/// Building the closure of a member set costs `O(Σ path)` expected: the
+/// global→local index is an append-only open-addressing table of local
+/// ids (see [`Subframe::local_of`]), never iterated, so its hash order
+/// cannot reach an outcome. The sentinel for "no local station" is
 /// [`Subframe::NONE`].
 #[derive(Debug, Clone)]
 pub struct Subframe {
     /// Local → global station id; index = local id, `global[0]` = source.
     global: Vec<NodeId>,
-    /// Global → local id (sparse; only closure stations are present).
-    local: BTreeMap<NodeId, u32>,
+    /// Global → local index: a linear-probing table holding only local
+    /// ids ([`Subframe::NONE`] = empty slot); a slot's key is read back
+    /// through `global`. Power-of-two length, load ≤ ½, append-only.
+    slots: Vec<u32>,
     /// Local parent id ([`Subframe::NONE`] for the source at local 0).
     parent: Vec<u32>,
     /// Cached tree-edge cost `c(parent(v), v)` per local id — copied
@@ -376,28 +386,69 @@ impl Subframe {
 
     /// An empty frame over `sub`: just the source at local id 0.
     pub fn new(sub: &TreeSubstrate) -> Self {
-        let s = NodeId::from_index(sub.network().source());
-        let mut local = BTreeMap::new();
-        local.insert(s, 0u32);
-        Self {
-            global: vec![s],
-            local,
+        let mut frame = Self {
+            global: vec![NodeId::from_index(sub.network().source())],
+            slots: vec![Self::NONE; 2],
             parent: vec![Self::NONE],
             parent_cost: vec![0.0],
             pos: vec![0],
             first_kid: vec![Self::NONE],
             next_kid: vec![Self::NONE],
+        };
+        frame.place(Self::ROOT);
+        frame
+    }
+
+    /// Probe the index for `key`: its local id, or the empty slot that
+    /// ends its probe chain.
+    #[inline]
+    fn probe(&self, key: NodeId) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = home(key, self.slots.len().trailing_zeros());
+        loop {
+            let l = self.slots[i];
+            if l == Self::NONE {
+                return Err(i);
+            }
+            if self.global[l as usize] == key {
+                return Ok(l);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Enter the just-appended local `l` into the index, doubling (and
+    /// re-placing every local) first when the load would pass ½.
+    fn index_push(&mut self, l: u32) {
+        if self.global.len() * 2 > self.slots.len() {
+            self.slots = vec![Self::NONE; self.slots.len() * 2];
+            for k in (0..).take(self.global.len()) {
+                self.place(k);
+            }
+        } else {
+            self.place(l);
+        }
+    }
+
+    /// Write local `l` into the empty slot ending its key's probe chain.
+    fn place(&mut self, l: u32) {
+        let free = self.probe(self.global[l as usize]);
+        debug_assert!(free.is_err(), "a station enters the frame once");
+        if let Err(i) = free {
+            self.slots[i] = l;
         }
     }
 
     /// Bring `station`'s whole root path into the frame and return the
-    /// station's local id. Already-present stations return in
-    /// `O(log |frame|)`; otherwise the out-of-frame path suffix is
-    /// spliced in **top-down** (so appended ids are always below existing
-    /// ones), each new station inserted into its parent's in-frame child
-    /// list at its global cost-order position. `O(path · log |frame|)`.
+    /// station's local id. Already-present stations return after one
+    /// index probe; otherwise the out-of-frame path suffix is spliced in
+    /// **top-down** (so appended ids are always below existing ones, and
+    /// every parent's local id is smaller than its children's), each new
+    /// station inserted into its parent's in-frame child list at its
+    /// global cost-order position. `O(path)` expected, plus the parent's
+    /// in-frame degree per new station.
     pub fn ensure(&mut self, sub: &TreeSubstrate, station: usize) -> u32 {
-        if let Some(&l) = self.local.get(&NodeId::from_index(station)) {
+        if let Some(l) = self.local_of(station) {
             return l;
         }
         // Collect the out-of-frame suffix of the root path, deepest
@@ -406,7 +457,7 @@ impl Subframe {
         let anchor = loop {
             let p = sub.parent_of(*suffix.last().expect("suffix is non-empty"));
             debug_assert!(p != NO_STATION, "the source is always in the frame");
-            if let Some(&l) = self.local.get(&NodeId::from_index(p)) {
+            if let Some(l) = self.local_of(p) {
                 break l;
             }
             suffix.push(p);
@@ -416,7 +467,7 @@ impl Subframe {
             let l = u32::try_from(self.global.len())
                 .expect("frame ids fit in u32 (the universe is capped below u32::MAX)");
             self.global.push(NodeId::from_index(w));
-            self.local.insert(NodeId::from_index(w), l);
+            self.index_push(l);
             self.parent.push(parent);
             self.parent_cost.push(sub.parent_cost(w));
             let pos = u32::try_from(sub.pos_in_parent(w))
@@ -454,9 +505,10 @@ impl Subframe {
         self.global.len() == 1
     }
 
-    /// Local id of a global station, if it is in the closure.
+    /// Local id of a global station, if it is in the closure — one
+    /// expected-`O(1)` index probe.
     pub fn local_of(&self, station: usize) -> Option<u32> {
-        self.local.get(&NodeId::from_index(station)).copied()
+        self.probe(NodeId::from_index(station)).ok()
     }
 
     /// Global station index of a local id.
@@ -512,19 +564,17 @@ impl Subframe {
         self.next_kid.shrink_to_fit();
     }
 
-    /// Resident heap bytes of the frame (arrays plus a conservative
-    /// per-entry estimate for the global→local B-tree nodes).
+    /// Resident heap bytes of the frame: its arrays and the index
+    /// table, exactly.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let bytes = self.global.capacity() * size_of::<NodeId>()
+        self.global.capacity() * size_of::<NodeId>()
+            + self.slots.capacity() * size_of::<u32>()
             + self.parent.capacity() * size_of::<u32>()
             + self.pos.capacity() * size_of::<u32>()
             + self.parent_cost.capacity() * size_of::<f64>()
             + self.first_kid.capacity() * size_of::<u32>()
-            + self.next_kid.capacity() * size_of::<u32>();
-        // B-tree nodes pack up to 11 entries; 16 bytes/entry covers the
-        // key/value pair plus amortised node overhead.
-        bytes + self.local.len() * (size_of::<(NodeId, u32)>() + 8)
+            + self.next_kid.capacity() * size_of::<u32>()
     }
 }
 
@@ -533,6 +583,7 @@ mod tests {
     use super::*;
     use crate::builder::{SubstrateBuilder, TreeKind};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
     use wmcs_geom::{Point, PowerModel};
 
     fn random_net(seed: u64, n: usize) -> WirelessNetwork {
@@ -669,6 +720,77 @@ mod tests {
                 assert_eq!(got, expect, "seed {seed}, station {g}");
             }
             assert!(frame.memory_bytes() > 0);
+        }
+    }
+
+    /// Check every station's `local_of` against the model and the
+    /// index's shape: power-of-two length, load ≤ ½, exact capacity.
+    fn index_agrees(frame: &Subframe, model: &BTreeMap<usize, u32>, n: usize) {
+        for x in 0..n {
+            assert_eq!(frame.local_of(x), model.get(&x).copied(), "station {x}");
+        }
+        assert!(frame.slots.len().is_power_of_two());
+        assert!(frame.len() * 2 <= frame.slots.len(), "load above ½");
+        assert_eq!(frame.slots.capacity(), frame.slots.len());
+    }
+
+    #[test]
+    fn subframe_index_agrees_with_an_ordered_map_model() {
+        // Random ensure sequences: the model maps each newly appended
+        // local id's station, read back through `global_of`.
+        for seed in 0..6 {
+            let n = 160;
+            let net = random_net(seed, n);
+            let sub = SubstrateBuilder::new(&net).tree(TreeKind::Spt).build();
+            let mut frame = Subframe::new(&sub);
+            let mut model = BTreeMap::from([(net.source(), Subframe::ROOT)]);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x1d);
+            let mut sizes = vec![frame.slots.len()];
+            for _ in 0..50 {
+                let v = rng.gen_range(1..n);
+                let l = frame.ensure(&sub, v);
+                for k in model.len()..frame.len() {
+                    let k = u32::try_from(k).expect("test frame is small");
+                    assert_eq!(model.insert(frame.global_of(k), k), None);
+                }
+                assert_eq!(model.get(&v), Some(&l));
+                index_agrees(&frame, &model, n);
+                sizes.push(frame.slots.len());
+            }
+            assert!(
+                sizes.windows(2).filter(|w| w[0] < w[1]).count() >= 3,
+                "the table grew"
+            );
+        }
+
+        // Forced collisions: on a star every ensure frames exactly one
+        // station. Stations whose hash has its top five bits set share
+        // the last slot as home at every size up to 32 slots, so every
+        // insert probes the whole cluster and wraps to slot 0; colliding
+        // stations left out of the frame must miss.
+        let n = 1024;
+        let net = random_net(7, n);
+        let star = RootedTree::from_parents(0, (0..n).map(|v| (v > 0).then_some(0)).collect());
+        let sub = TreeSubstrate::build(net, star);
+        let colliding: Vec<usize> = (1..n)
+            .filter(|&x| home(NodeId::from_index(x), 5) == 31)
+            .collect();
+        assert!(
+            colliding.len() >= 20,
+            "{} colliding stations",
+            colliding.len()
+        );
+        let mut frame = Subframe::new(&sub);
+        let mut model = BTreeMap::from([(0, Subframe::ROOT)]);
+        for &x in &colliding[..15] {
+            let l = frame.ensure(&sub, x);
+            model.insert(x, l);
+            index_agrees(&frame, &model, n);
+        }
+        assert_eq!(frame.slots.len(), 32);
+        assert_eq!(frame.slots[0], 0, "the source's home slot");
+        for &x in &colliding[15..] {
+            assert_eq!(frame.local_of(x), None);
         }
     }
 
